@@ -1,7 +1,7 @@
 //! A typed SSA compiler pipeline over the clc register bytecode.
 //!
-//! The interpreters ([`crate::vm`], [`crate::fastvm`]) decode one
-//! instruction per work-item per step; for the generated GEMM kernels
+//! The reference interpreter ([`crate::vm`]) decodes one instruction
+//! per work-item per step; for the generated GEMM kernels
 //! that dispatch overhead dwarfs the arithmetic. This module compiles
 //! the bytecode into **pre-scheduled trace code** executed by
 //! [`crate::vm::Engine::Compiled`]:
@@ -20,19 +20,21 @@
 //!    work-item loops, loop-invariant code motion out of the remaining
 //!    runtime-bounded loops, and fusion of `extract → broadcast → mad`
 //!    triples into single lane-indexed mad ops.
-//! 3. [`trace`] — uniformity analysis (values provably identical
+//! 3. [`trace`] — divergence analysis (values provably identical
 //!    across the work-items of a group run once per group; per-item
 //!    values run in a tight loop over all work-items inside one
-//!    dispatched op), linear-scan register allocation onto typed SoA
-//!    slot banks, and emission of a [`trace::TracePlan`].
+//!    dispatched op; branches on per-item conditions get their
+//!    reconvergence points), linear-scan register allocation onto
+//!    typed SoA slot banks, and emission of a [`trace::TracePlan`].
 //! 4. [`engine`] — binds a plan to a launch's geometry and runs
-//!    work-groups in parallel, block by block: per-op decode is paid
-//!    once per *group* instead of once per work-item step.
+//!    work-groups in parallel, block by block, with divergent branches
+//!    under per-work-item masks: per-op decode is paid once per *group*
+//!    instead of once per work-item step.
 //!
-//! The compiler declines kernels whose branch conditions diverge
-//! across work-items (and a few rarities like non-constant
-//! `get_global_id` dimensions); those fall back to the fast VM, and
-//! the reference interpreter remains the bit-for-bit oracle.
+//! The compiler declines a barrier under a divergent branch (and a few
+//! rarities like non-constant `get_global_id` dimensions); those
+//! kernels run on the reference interpreter, which remains the
+//! bit-for-bit oracle.
 
 pub mod build;
 pub(crate) mod engine;
@@ -301,7 +303,8 @@ pub struct CompileStats {
 }
 
 /// Compile a lowered kernel to a trace plan, or explain why the
-/// compiler declines it (the caller then falls back to the fast VM).
+/// compiler declines it (the kernel then runs on the reference
+/// interpreter).
 ///
 /// # Errors
 /// A human-readable decline reason; declining is not a failure mode,

@@ -287,8 +287,8 @@ fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
 }
 
 /// `Some(source)` when the op is value-identical to one of its
-/// operands (or a constant-condition Select), under the fast engines'
-/// bool-as-int encoding.
+/// operands (or a constant-condition Select), under the compiled
+/// engine's bool-as-int encoding.
 fn alias_of(kind: &OpKind, classes: &[RegClass], konst: &[Option<Value>]) -> Option<Val> {
     let kv = |v: Val| konst[v as usize];
     match kind {

@@ -1,7 +1,7 @@
 //! Deterministic text renderings of the SSA IR and the trace plan,
 //! used by the disassembler and by the committed golden-file test.
 
-use super::trace::{Bank, PBlock, POp, PTerm, Slot, TracePlan};
+use super::trace::{Bank, PBlock, POp, PTerm, Slot, TracePlan, EXIT};
 use super::{Func, Op, OpKind, Term};
 use std::fmt::Write;
 
@@ -144,6 +144,7 @@ fn print_pblock(s: &mut String, b: &PBlock) {
             f,
             t_copies,
             f_copies,
+            join,
         } => {
             for c in t_copies {
                 let _ = writeln!(s, "  [t] {}", fmt_pop(c));
@@ -151,7 +152,12 @@ fn print_pblock(s: &mut String, b: &PBlock) {
             for c in f_copies {
                 let _ = writeln!(s, "  [f] {}", fmt_pop(c));
             }
-            let _ = writeln!(s, "  condbr {} ? b{t} : b{f}", fmt_slot(*cond));
+            let join = match *join {
+                None => String::new(),
+                Some(EXIT) => " ; varying, joins at exit".to_string(),
+                Some(r) => format!(" ; varying, joins at b{r}"),
+            };
+            let _ = writeln!(s, "  condbr {} ? b{t} : b{f}{join}", fmt_slot(*cond));
         }
         PTerm::Barrier { to, copies } => {
             for c in copies {

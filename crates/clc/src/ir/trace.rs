@@ -13,17 +13,22 @@
 //! Varying ops take all-varying operands: a uniform operand is
 //! **splatted** into a varying slot first (once, adjacent to its
 //! definition; splats of constants and entry parameters cost nothing
-//! at runtime — they become group-reset seeds). Branch conditions must
-//! be uniform; a kernel with a work-item-divergent branch is declined
-//! and falls back to the fast VM. Memory ops always execute per
-//! work-item so bounds checks and race recording match the reference
-//! interpreter access-for-access.
+//! at runtime — they become group-reset seeds). A branch on a varying
+//! condition carries its reconvergence point (immediate
+//! post-dominator), and the engine runs its sides under per-work-item
+//! masks; the divergence analysis makes everything that can differ
+//! between those sides varying (see `divergence`). Memory ops always
+//! execute per work-item so bounds checks and race recording match the
+//! reference interpreter access-for-access.
 //!
 //! Slots live in three per-group banks (`i64`/`f32`/`f64`), grouped by
 //! (storage shape, uniformity). A varying slot is `nwi × lanes`
 //! contiguous cells (slot-major), so elementwise ops vectorise as flat
 //! loops. Linear scan reuses slots of block-local values; anything
-//! live across blocks (params, loop carriers) is pinned.
+//! live across blocks (params, loop carriers) is pinned to a slot of
+//! its own. Masked execution relies on that pinning: a value live into
+//! either side of a divergent branch is never overwritten by the other
+//! side, whose ops run on all work-items.
 
 use super::{CompileStats, Cost, Edge, Func, Op, OpKind, Term, Val};
 use crate::ast::{Base, BinOp, UnOp};
@@ -232,12 +237,16 @@ pub(crate) enum PTerm {
         to: usize,
         copies: Vec<POp>,
     },
+    /// `join` is `Some(reconvergence block)` ([`EXIT`] when the sides
+    /// only meet at kernel exit) for a work-item-divergent condition;
+    /// both sides then run under complementary lane masks.
     CondBr {
         cond: Slot,
         t: usize,
         f: usize,
         t_copies: Vec<POp>,
         f_copies: Vec<POp>,
+        join: Option<usize>,
     },
     Barrier {
         to: usize,
@@ -245,6 +254,10 @@ pub(crate) enum PTerm {
     },
     Ret,
 }
+
+/// Reconvergence point of a divergent branch whose sides only meet
+/// again at kernel exit (some path returns).
+pub(crate) const EXIT: usize = usize::MAX;
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PBlock {
@@ -275,7 +288,9 @@ pub(crate) type SlotReg = (Slot, Reg);
 
 /// A bound op: flat bank offsets plus loop bounds. `n` is the flat
 /// element count for elementwise kinds and the rep (work-item) count
-/// for structured kinds; `w` is the lane count.
+/// for structured kinds; `w` is the lane count. `masked` ops touch
+/// only the active work-items under a partial mask: memory ops, and the
+/// per-item integer divisions, clamps and block-argument copies.
 #[derive(Debug, Clone)]
 pub(crate) struct BOp {
     pub k: PK,
@@ -287,6 +302,7 @@ pub(crate) struct BOp {
     pub w: u32,
     pub aux: u8,
     pub buf: u16,
+    pub masked: bool,
     pub ex: Box<[u32]>,
 }
 
@@ -302,6 +318,7 @@ pub(crate) enum BTerm {
         f: u32,
         t_copies: Box<[BOp]>,
         f_copies: Box<[BOp]>,
+        join: Option<usize>,
     },
     Barrier {
         to: u32,
@@ -418,7 +435,13 @@ impl TracePlan {
             let g = &self.groups[s.group as usize];
             base[s.group as usize] + s.slot * g.unit(nwi) as u32
         };
-        let bind_op = |p: &POp| -> BOp {
+        let varying = |s: Slot| s.group != u16::MAX && self.groups[s.group as usize].varying;
+        let bind_op = |p: &POp, copy: bool| -> BOp {
+            let trapping = matches!(
+                p.k,
+                PK::DivI | PK::RemI | PK::ClampI | PK::ClampF | PK::ClampD
+            );
+            let masked = is_mem_pk(p.k) || ((copy || trapping) && varying(p.d));
             let (n, w) = if is_mem_pk(p.k) {
                 (nwi as u32, u32::from(p.aux.max(1)))
             } else if matches!(p.k, PK::ExtrF | PK::ExtrD) {
@@ -451,15 +474,17 @@ impl TracePlan {
                 w,
                 aux: p.aux,
                 buf: p.buf,
+                masked,
                 ex: p.ex.iter().map(|&s| flat(s)).collect(),
             }
         };
-        let bind_ops = |ops: &[POp]| -> Box<[BOp]> { ops.iter().map(bind_op).collect() };
+        let bind_ops =
+            |ops: &[POp]| -> Box<[BOp]> { ops.iter().map(|p| bind_op(p, true)).collect() };
         let blocks = self
             .blocks
             .iter()
             .map(|b| BBlock {
-                ops: b.ops.iter().map(bind_op).collect(),
+                ops: b.ops.iter().map(|p| bind_op(p, false)).collect(),
                 cost: b.cost,
                 term: match &b.term {
                     PTerm::Br { to, copies } => BTerm::Br {
@@ -472,12 +497,14 @@ impl TracePlan {
                         f,
                         t_copies,
                         f_copies,
+                        join,
                     } => BTerm::CondBr {
                         cond: flat(*cond),
                         t: *t as u32,
                         f: *f as u32,
                         t_copies: bind_ops(t_copies),
                         f_copies: bind_ops(f_copies),
+                        join: *join,
                     },
                     PTerm::Barrier { to, copies } => BTerm::Barrier {
                         to: *to as u32,
@@ -577,6 +604,10 @@ struct Emitter<'a> {
     slot_of: Vec<Option<Slot>>,
     /// Reserved scratch slot per group, for parallel-copy cycles.
     temps: Vec<u32>,
+    /// Reconvergence point of each block's divergent branch.
+    joins: Vec<Option<usize>>,
+    /// Parameters that live in their forwarded root's slot.
+    share: Vec<Option<Val>>,
 }
 
 /// Emit a trace plan, or return the reason the kernel is declined.
@@ -586,14 +617,9 @@ pub(crate) fn emit(
     mut stats: CompileStats,
 ) -> Result<TracePlan, String> {
     let konst = konst_of(f);
-    let uni = uniformity(f);
-    for b in &f.blocks {
-        if let Term::CondBr { cond, .. } = &b.term {
-            if !uni[*cond as usize] {
-                return Err("work-item-divergent branch condition".into());
-            }
-        }
-    }
+    let dv = divergence(f)?;
+    let share = shared_slots(f, &dv, &konst);
+    let (uni, joins) = (dv.uni, dv.joins);
     let mut em = Emitter {
         k,
         f,
@@ -606,6 +632,8 @@ pub(crate) fn emit(
         group_idx: HashMap::new(),
         slot_of: Vec::new(),
         temps: Vec::new(),
+        joins,
+        share,
     };
     let scheds = em.plan_splats();
     em.allocate(&scheds, &mut stats);
@@ -632,7 +660,7 @@ pub(crate) fn emit(
                 }
             }
         }
-        let term = em.lower_term(&blk.term);
+        let term = em.lower_term(bi, &blk.term);
         blocks.push(PBlock {
             ops,
             cost: blk.cost,
@@ -661,15 +689,37 @@ fn konst_of(f: &Func) -> Vec<Option<Value>> {
     k
 }
 
-/// Per-value uniformity to a fixpoint. Start everything uniform and
-/// demote: loads and per-item id queries are varying sources; any op
-/// with a varying operand is varying; a block param is varying when any
-/// incoming edge argument is.
-fn uniformity(f: &Func) -> Vec<bool> {
+/// Per-value uniformity, and the reconvergence point of every block
+/// that ends in a work-item-divergent branch.
+///
+/// Start everything uniform and demote to a fixpoint: loads and
+/// per-item id queries are varying sources; an op with a varying
+/// operand is varying; a block parameter is varying when an incoming
+/// argument is. A branch on a varying condition runs its sides under
+/// complementary masks until they reconverge at its immediate
+/// post-dominator, so a parameter of any block between the branch and
+/// its join, or of the join itself, is varying unless it forwards one
+/// value on every incoming edge: work-items arrive along different
+/// paths. That covers loops too — when a divergent branch can leave a
+/// loop, the loop header lies between the branch and its join (through
+/// the back edge), so the loop-carried values are varying: work-items
+/// leave at different iterations.
+///
+/// A barrier inside a divergent region — including any barrier after a
+/// divergent `return` — would run under a partial mask: declined.
+fn divergence(f: &Func) -> Result<Divergence, String> {
+    let root = forwarded_roots(f);
+    let ipdom = post_dominators(f);
     let mut uni = vec![true; f.n_vals()];
-    loop {
-        let mut changed = false;
-        for b in &f.blocks {
+    let mut joins = vec![None; f.blocks.len()];
+    let mut in_region = vec![false; f.blocks.len()];
+    let mut changed = true;
+    let demote = |uni: &mut Vec<bool>, v: Val, changed: &mut bool| {
+        *changed |= std::mem::replace(&mut uni[v as usize], false);
+    };
+    while changed {
+        changed = false;
+        for (bi, b) in f.blocks.iter().enumerate() {
             for op in &b.ops {
                 let Some(d) = op.dst else { continue };
                 let varying = match &op.kind {
@@ -678,24 +728,193 @@ fn uniformity(f: &Func) -> Vec<bool> {
                     OpKind::Wi(_, _) => false,
                     kind => kind.operands().iter().any(|&o| !uni[o as usize]),
                 };
-                if varying && uni[d as usize] {
-                    uni[d as usize] = false;
-                    changed = true;
+                if varying {
+                    demote(&mut uni, d, &mut changed);
                 }
             }
             for e in b.term.edges() {
                 for (param, arg) in f.blocks[e.to].params.iter().zip(&e.args) {
-                    if !uni[*arg as usize] && uni[*param as usize] {
-                        uni[*param as usize] = false;
+                    if !uni[*arg as usize] {
+                        demote(&mut uni, *param, &mut changed);
+                    }
+                }
+            }
+            let Term::CondBr { cond, .. } = &b.term else {
+                continue;
+            };
+            if uni[*cond as usize] || joins[bi].is_some() {
+                continue;
+            }
+            let r = ipdom[bi];
+            joins[bi] = Some(r);
+            let mut region = vec![false; f.blocks.len()];
+            let mut stack: Vec<usize> = b.term.edges().iter().map(|e| e.to).collect();
+            while let Some(x) = stack.pop() {
+                if x != r && !std::mem::replace(&mut region[x], true) {
+                    stack.extend(f.blocks[x].term.edges().iter().map(|e| e.to));
+                }
+            }
+            for (x, blk) in f.blocks.iter().enumerate() {
+                if region[x] && matches!(blk.term, Term::Barrier { .. }) {
+                    return Err("barrier under a work-item-divergent branch".into());
+                }
+                in_region[x] |= region[x];
+                if region[x] || x == r {
+                    for &q in blk.params.iter().filter(|&&q| root[q as usize] == q) {
+                        demote(&mut uni, q, &mut changed);
+                    }
+                }
+            }
+        }
+    }
+    Ok(Divergence {
+        uni,
+        joins,
+        root,
+        in_region,
+    })
+}
+
+/// What [`divergence`] proves about a function.
+struct Divergence {
+    uni: Vec<bool>,
+    /// Per block: the reconvergence point of its divergent branch.
+    joins: Vec<Option<usize>>,
+    /// Per value: the value it forwards (see [`forwarded_roots`]).
+    root: Vec<Val>,
+    /// Per block: whether it lies between a divergent branch and its
+    /// join.
+    in_region: Vec<bool>,
+}
+
+/// In a kernel with divergent branches, a parameter that only forwards
+/// its root shares the root's slot, so masked edges need no copy for
+/// it (uniform kernels keep one slot per parameter). That is safe under
+/// masks only while nothing writes the root's slot as an op running on
+/// all work-items during a divergent region: the root must be a
+/// parameter (written by masked copies), a constant (a seed), or an op
+/// outside every divergent region (run by all live work-items at once).
+fn shared_slots(f: &Func, dv: &Divergence, konst: &[Option<Value>]) -> Vec<Option<Val>> {
+    let mut share = vec![None; f.n_vals()];
+    if !dv.joins.iter().any(Option::is_some) {
+        return share;
+    }
+    let mut def_block = vec![None; f.n_vals()];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for op in &b.ops {
+            if let Some(d) = op.dst {
+                def_block[d as usize] = Some(bi);
+            }
+        }
+    }
+    for b in &f.blocks {
+        for &q in &b.params {
+            let r = dv.root[q as usize];
+            let (qi, ri) = (q as usize, r as usize);
+            let writable = konst[ri].is_some() || def_block[ri].is_none_or(|d| !dv.in_region[d]);
+            if r != q && dv.uni[qi] == dv.uni[ri] && f.classes[qi] == f.classes[ri] && writable {
+                share[qi] = Some(r);
+            }
+        }
+    }
+    share
+}
+
+/// The value each value forwards: a block parameter whose incoming
+/// arguments all resolve to one value `r` (or to itself, around a loop)
+/// carries `r` on every path.
+fn forwarded_roots(f: &Func) -> Vec<Val> {
+    let find = |root: &[Val], mut v: Val| {
+        while root[v as usize] != v {
+            v = root[v as usize];
+        }
+        v
+    };
+    let mut incoming: Vec<Vec<&Edge>> = vec![Vec::new(); f.blocks.len()];
+    for b in &f.blocks {
+        for e in b.term.edges() {
+            incoming[e.to].push(e);
+        }
+    }
+    let mut root: Vec<Val> = (0..f.n_vals() as Val).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (i, &q) in b.params.iter().enumerate() {
+                let mut args = incoming[bi].iter().map(|e| find(&root, e.args[i]));
+                let mut only = None;
+                if root[q as usize] == q && args.all(|a| a == q || *only.get_or_insert(a) == a) {
+                    if let Some(r) = only {
+                        root[q as usize] = r;
                         changed = true;
                     }
                 }
             }
         }
-        if !changed {
-            return uni;
+    }
+    (0..f.n_vals() as Val).map(|v| find(&root, v)).collect()
+}
+
+/// Immediate post-dominator of every block, [`EXIT`] when only the
+/// kernel exit post-dominates it. A block that cannot reach a `ret`
+/// (an endless loop, cut by the step limit) is treated as exiting.
+fn post_dominators(f: &Func) -> Vec<usize> {
+    let nb = f.blocks.len();
+    let mut succ: Vec<Vec<usize>> = f
+        .blocks
+        .iter()
+        .map(|b| match b.term {
+            Term::Ret => vec![nb],
+            _ => b.term.edges().iter().map(|e| e.to).collect(),
+        })
+        .collect();
+    let preds = f.preds();
+    let mut exits = vec![false; nb];
+    let mut stack: Vec<usize> = (0..nb).filter(|&b| succ[b] == [nb]).collect();
+    while let Some(x) = stack.pop() {
+        if !std::mem::replace(&mut exits[x], true) {
+            stack.extend(&preds[x]);
         }
     }
+    for (b, s) in succ.iter_mut().enumerate() {
+        if !exits[b] {
+            s.push(nb);
+        }
+    }
+    // pd[b][x]: x post-dominates b; node `nb` is the exit.
+    let mut pd = vec![vec![true; nb + 1]; nb + 1];
+    pd[nb] = (0..=nb).map(|x| x == nb).collect();
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for b in (0..nb).rev() {
+            let mut np = vec![true; nb + 1];
+            for &s in &succ[b] {
+                for (x, y) in np.iter_mut().zip(&pd[s]) {
+                    *x = *x && *y;
+                }
+            }
+            np[b] = true;
+            if np != pd[b] {
+                pd[b] = np;
+                grew = true;
+            }
+        }
+    }
+    // Strict post-dominators form a chain; the nearest has the most.
+    let size = |x: usize| pd[x].iter().filter(|&&y| y).count();
+    (0..nb)
+        .map(|b| {
+            let ip = (0..=nb)
+                .filter(|&x| x != b && pd[b][x])
+                .max_by_key(|&x| size(x));
+            match ip {
+                Some(x) if x < nb => x,
+                _ => EXIT,
+            }
+        })
+        .collect()
 }
 
 impl Emitter<'_> {
@@ -917,13 +1136,22 @@ impl Emitter<'_> {
         for &p in &f.blocks[0].params {
             seed_written[p as usize] = true;
         }
+        // A root whose slot parameters share is pinned, even when only
+        // the sharers are touched.
+        let mut shared_root = vec![false; n];
+        for r in self.share.iter().flatten() {
+            shared_root[*r as usize] = true;
+        }
         // Pinned pass (ascending val id = deterministic layout).
         let mut transient: Vec<Val> = Vec::new();
         for v in 0..n as Val {
-            if first[v as usize] == u32::MAX {
-                continue; // never touched
+            let vu = v as usize;
+            if self.share.get(vu).is_some_and(Option::is_some)
+                || (first[vu] == u32::MAX && !shared_root[vu])
+            {
+                continue; // a sharer, or never touched
             }
-            let pinned = is_param[v as usize] || seed_written[v as usize] || multi[v as usize];
+            let pinned = is_param[vu] || seed_written[vu] || multi[vu] || shared_root[vu];
             if pinned {
                 let g = self.group_of_val(v);
                 let s = self.groups[g as usize].n_slots;
@@ -931,6 +1159,11 @@ impl Emitter<'_> {
                 self.slot_of[v as usize] = Some(Slot { group: g, slot: s });
             } else {
                 transient.push(v);
+            }
+        }
+        for (v, r) in self.share.iter().enumerate() {
+            if let Some(r) = r {
+                self.slot_of[v] = self.slot_of[*r as usize];
             }
         }
         // Linear scan over transients.
@@ -1343,7 +1576,7 @@ impl Emitter<'_> {
         Ok(Some(p))
     }
 
-    fn lower_term(&self, term: &Term) -> PTerm {
+    fn lower_term(&self, bi: usize, term: &Term) -> PTerm {
         match term {
             Term::Br(e) => PTerm::Br {
                 to: e.to,
@@ -1355,6 +1588,7 @@ impl Emitter<'_> {
                 f: f.to,
                 t_copies: self.edge_copies(t),
                 f_copies: self.edge_copies(f),
+                join: self.joins[bi],
             },
             Term::Barrier { next, .. } => PTerm::Barrier {
                 to: next.to,

@@ -18,13 +18,12 @@
 //!   work-group, barrier divergence and same-phase local-memory races
 //!   are detected and reported as runtime errors (our analogue of a
 //!   kernel that "fails testing");
-//! * [`fastvm`] — typed SoA register banks, fused superinstructions and
-//!   parallel work-group execution, bit-for-bit equivalent to [`vm`]
-//!   (select with [`vm::ExecOptions::reference`]);
 //! * [`ir`] — the default engine: a typed SSA compiler pipeline
 //!   (constant folding, CSE, DCE, loop unrolling) emitting
-//!   pre-scheduled per-work-group trace code, with [`fastvm`] as the
-//!   fallback for kernels it declines;
+//!   pre-scheduled per-work-group trace code that runs divergent
+//!   branches under per-work-item masks, bit-for-bit equivalent to
+//!   [`vm`] (select the reference with [`vm::ExecOptions::reference`]);
+//!   the few kernels it declines run on [`vm`];
 //! * [`program`] — the public compile-and-launch API used by
 //!   `clgemm-sim`.
 //!
@@ -36,7 +35,6 @@ pub mod ast;
 pub mod check;
 pub mod disasm;
 pub mod error;
-pub mod fastvm;
 pub mod ir;
 pub mod lexer;
 pub mod lower;
@@ -44,6 +42,6 @@ pub mod parser;
 pub mod program;
 pub mod vm;
 
-pub use disasm::{disassemble, disassemble_fast, disassemble_ir};
+pub use disasm::{disassemble, disassemble_ir};
 pub use error::{CompileError, RuntimeError};
 pub use program::{Arg, BufData, Engine, ExecOptions, Kernel, NdRange, Program};

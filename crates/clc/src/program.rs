@@ -35,24 +35,11 @@ use crate::vm::{run_group_in, DynStats, Geometry, GlobalRaceTables, RefArena, Va
 
 pub use crate::vm::{BufData, Engine, ExecOptions};
 
-/// Process-wide engine override from `CLGEMM_CLC_ENGINE`, probed once
-/// (mirroring `CLGEMM_SIMD`). Unknown or unset values mean "no
-/// override".
-fn engine_override() -> Option<Engine> {
-    static OVERRIDE: std::sync::OnceLock<Option<Engine>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var("CLGEMM_CLC_ENGINE").ok()?.as_str() {
-        "reference" => Some(Engine::Reference),
-        "fast" => Some(Engine::Fast),
-        "compiled" => Some(Engine::Compiled),
-        _ => None,
-    })
-}
-
-/// Bridge one launch's [`DynStats`] (and, on the fast path, the plan's
-/// fusion outcome) into the global metrics registry. Every counter is
-/// created at the point of first non-zero use so a workload that never
-/// hits a barrier (say) does not register a dead `vm_barriers_total`.
-fn record_launch_metrics(stats: &DynStats, engine: &str, fast: Option<&crate::fastvm::FastKernel>) {
+/// Bridge one launch's [`DynStats`] into the global metrics registry.
+/// Every counter is created at the point of first non-zero use so a
+/// workload that never hits a barrier (say) does not register a dead
+/// `vm_barriers_total`.
+fn record_launch_metrics(stats: &DynStats, engine: &str) {
     if !clgemm_trace::enabled() {
         return;
     }
@@ -67,19 +54,6 @@ fn record_launch_metrics(stats: &DynStats, engine: &str, fast: Option<&crate::fa
     ] {
         if v > 0 {
             reg.counter(name).add(v);
-        }
-    }
-    if let Some(fk) = fast {
-        let ops = reg.counter("vm_plan_ops_total");
-        let fused = reg.counter("vm_fused_ops_total");
-        ops.add(fk.op_count() as u64);
-        fused.add(fk.fused_count() as u64);
-        let total = ops.get();
-        if total > 0 {
-            // Cumulative fraction of plan ops covered by fused
-            // superinstructions across all fast launches so far.
-            reg.gauge("vm_fusion_ratio")
-                .set(fused.get() as f64 / total as f64);
         }
     }
 }
@@ -216,17 +190,12 @@ impl<'a> Kernel<'a> {
 
     /// Execute the kernel over the NDRange. With the default
     /// [`Engine::Compiled`] the work-groups run pre-scheduled trace
-    /// code from the SSA compiler pipeline (falling back to the fast
-    /// plan for declined kernels); [`Engine::Fast`] runs the typed
-    /// per-work-item plan (falling back to the reference interpreter
-    /// when the kernel did not specialise); [`Engine::Reference`] runs
-    /// groups sequentially through the original interpreter. All
-    /// engines produce bit-identical buffers and stats. Work-items
-    /// within a group always run with true barrier semantics.
-    ///
-    /// The `CLGEMM_CLC_ENGINE=reference|fast|compiled` environment
-    /// variable overrides the requested engine process-wide (probed
-    /// once, like `CLGEMM_SIMD`); unknown values are ignored.
+    /// code from the SSA compiler pipeline, in parallel (a kernel the
+    /// compiler declined runs on the reference interpreter instead);
+    /// [`Engine::Reference`] runs groups sequentially through the
+    /// original interpreter. Both produce bit-identical buffers and
+    /// stats. Work-items within a group always run with true barrier
+    /// semantics.
     ///
     /// # Errors
     /// Compile-quality argument/NDRange errors and all VM runtime errors
@@ -254,31 +223,19 @@ impl<'a> Kernel<'a> {
             local: nd.local,
             groups: [nd.global[0] / nd.local[0], nd.global[1] / nd.local[1]],
         };
-        let requested = engine_override().unwrap_or(opts.engine);
-        if requested == Engine::Compiled {
+        if opts.engine == Engine::Compiled {
             if let Some(plan) = &self.inner.trace {
                 let r = crate::ir::engine::launch(self.inner, plan, &geom, &init_regs, bufs, opts);
                 if let Ok(stats) = &r {
-                    record_launch_metrics(stats, "compiled", None);
+                    record_launch_metrics(stats, "compiled");
                 }
                 return r;
             }
         }
-        if requested != Engine::Reference {
-            if let Some(fk) = &self.inner.fast {
-                let r = crate::fastvm::launch(self.inner, fk, &geom, &init_regs, bufs, opts);
-                if let Ok(stats) = &r {
-                    record_launch_metrics(stats, "fast", Some(fk));
-                }
-                return r;
-            }
-        }
-        let engine = if requested != Engine::Reference {
-            // A faster engine was requested but the kernel neither
-            // compiled nor specialised.
-            "fallback"
-        } else {
-            "reference"
+        let engine = match opts.engine {
+            // The compiled engine was requested but declined the kernel.
+            Engine::Compiled => "fallback",
+            Engine::Reference => "reference",
         };
         let n_groups = geom.groups[0] * geom.groups[1];
         let grace = (opts.detect_races && n_groups > 1).then(|| GlobalRaceTables::new(bufs));
@@ -301,7 +258,7 @@ impl<'a> Kernel<'a> {
                 stats.add(&s);
             }
         }
-        record_launch_metrics(&stats, engine, None);
+        record_launch_metrics(&stats, engine);
         Ok(stats)
     }
 

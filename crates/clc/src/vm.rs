@@ -15,6 +15,11 @@
 //! Dynamic instruction counts are collected in [`DynStats`]; the
 //! integration suite uses them to validate the code generator's
 //! analytical cost model against what the kernel actually executes.
+//!
+//! This is the reference engine: every semantic question (rounding,
+//! errors, race and divergence detection, stats) is defined here, and
+//! the default compiled engine ([`crate::ir`]) is property-tested
+//! against it bit for bit. Kernels the compiler declines run here.
 
 use crate::ast::{Base, BinOp, UnOp};
 use crate::check::LocalArray;
@@ -199,19 +204,15 @@ pub struct Geometry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Pre-scheduled trace code from the SSA compiler pipeline (see
-    /// the `ir` module): per-op dispatch is paid once per work-group
-    /// instead of once per work-item step. Falls back to [`Engine::Fast`]
-    /// for kernels the compiler declines (e.g. work-item-divergent
-    /// branches).
+    /// the `ir` module), work-groups in parallel: per-op dispatch is
+    /// paid once per work-group instead of once per work-item step, and
+    /// divergent branches run under per-work-item masks. Falls back to
+    /// [`Engine::Reference`] for the kernels the compiler declines
+    /// (e.g. a barrier under a divergent branch).
     #[default]
     Compiled,
-    /// Typed-register-bank engine with fused superinstructions and
-    /// parallel work-group execution (see the `fastvm` module). Falls
-    /// back to the reference interpreter for kernels the register-class
-    /// assignment pass cannot type.
-    Fast,
     /// The original one-`Value`-at-a-time interpreter: the bit-for-bit
-    /// oracle the fast path is property-tested against.
+    /// oracle the compiled engine is property-tested against.
     Reference,
 }
 
@@ -225,9 +226,7 @@ pub struct ExecOptions {
     /// Abort a work-item after this many executed instructions per
     /// barrier phase (guards against non-terminating kernels).
     pub step_limit: u64,
-    /// Engine selection; [`Engine::Compiled`] by default (overridable
-    /// at runtime with the `CLGEMM_CLC_ENGINE` environment variable —
-    /// see [`crate::program::Kernel::launch`]).
+    /// Engine selection; [`Engine::Compiled`] by default.
     pub engine: Engine,
 }
 
@@ -243,7 +242,7 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// Default options, but forcing the reference interpreter — the
-    /// escape hatch when the fast path is in doubt.
+    /// escape hatch when the compiled engine is in doubt.
     #[must_use]
     pub fn reference() -> Self {
         ExecOptions {

@@ -507,8 +507,8 @@ pub fn predict_best(dev: &DeviceSpec, precision: Precision) -> Option<Prediction
 
 /// `true` unless `CLGEMM_PREDICT` is set to `off`/`0`/`false` — the
 /// serve layer consults this on cache misses (mirrors the
-/// `CLGEMM_SIMD` / `CLGEMM_CLC_ENGINE` override convention, but read
-/// live because misses are rare and tests toggle it).
+/// `CLGEMM_SIMD` override convention, but read live because misses are
+/// rare and tests toggle it).
 #[must_use]
 pub fn predict_enabled() -> bool {
     predict_enabled_in(std::env::var("CLGEMM_PREDICT").ok().as_deref())

@@ -241,8 +241,8 @@ fn main() {
 
     // ---- tuner + VM layers ---------------------------------------------
     // A smoke-sized search with winner verification: the verify step
-    // compiles the winning kernel and runs it through the fast VM, so
-    // one call exercises the tuner counters AND the vm_* bridge.
+    // compiles the winning kernel and runs it on the clc engine, so one
+    // call exercises the tuner counters AND the vm_* bridge.
     let space = SearchSpace::smoke(&device);
     let opts = SearchOpts {
         top_k: 10,
@@ -256,35 +256,44 @@ fn main() {
     // ---- clc compiler pipeline -----------------------------------------
     // Compile and launch a small kernel on the default (compiled)
     // engine so the `clc.compile` span and the per-pass clc_compile_*
-    // counters move and stay out of the dead-metric list.
+    // counters move and stay out of the dead-metric list. The guarded
+    // variant's `i < n` diverges in the last work-group and must compile
+    // too: it runs under per-work-item masks, not on a fallback.
     {
         use clgemm_clc::{Arg, BufData, ExecOptions, NdRange, Program};
-        let src = r"__kernel void saxpy(__global const float* x,
-                                        __global float* y, float a) {
+        let plain = r"__kernel void saxpy(__global const float* x,
+                                        __global float* y, float a, int n) {
             int i = get_global_id(0);
             y[i] = a * x[i] + y[i];
         }";
-        let prog = Program::compile(src).expect("saxpy compiles");
-        let kernel = prog.kernel("saxpy").expect("kernel present");
-        assert!(
-            kernel.compiled().trace.is_some(),
-            "saxpy must take the compiled engine, not a fallback: {:?}",
-            kernel.compiled().trace_decline
-        );
-        let n = 256usize;
-        let mut bufs = vec![
-            BufData::F32((0..n).map(|i| i as f32 / 7.0).collect()),
-            BufData::F32(vec![1.0; n]),
-        ];
-        let args = [Arg::Buf(0), Arg::Buf(1), Arg::F32(0.5)];
-        kernel
-            .launch(
-                NdRange::d1(n, 64),
-                &args,
-                &mut bufs,
-                &ExecOptions::default(),
-            )
-            .expect("compiled-engine launch");
+        let guarded = r"__kernel void saxpy(__global const float* x,
+                                        __global float* y, float a, int n) {
+            int i = get_global_id(0);
+            if (i < n) { y[i] = a * x[i] + y[i]; }
+        }";
+        for src in [plain, guarded] {
+            let prog = Program::compile(src).expect("saxpy compiles");
+            let kernel = prog.kernel("saxpy").expect("kernel present");
+            assert!(
+                kernel.compiled().trace.is_some(),
+                "saxpy must take the compiled engine, not a fallback: {:?}",
+                kernel.compiled().trace_decline
+            );
+            let n = 256usize;
+            let mut bufs = vec![
+                BufData::F32((0..n).map(|i| i as f32 / 7.0).collect()),
+                BufData::F32(vec![1.0; n]),
+            ];
+            let args = [Arg::Buf(0), Arg::Buf(1), Arg::F32(0.5), Arg::I32(250)];
+            kernel
+                .launch(
+                    NdRange::d1(n, 64),
+                    &args,
+                    &mut bufs,
+                    &ExecOptions::default(),
+                )
+                .expect("compiled-engine launch");
+        }
     }
 
     // ---- one snapshot, three renderings --------------------------------

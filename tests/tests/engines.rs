@@ -1,21 +1,24 @@
-//! Engine-equivalence property tests: the fast VM (typed register
-//! banks, fused superinstructions, parallel work-groups) and the
-//! compiled engine (SSA pipeline → pre-scheduled trace code) must both
-//! be indistinguishable from the reference interpreter — bit-identical
-//! output buffers and equal `DynStats` on every generated kernel, and
-//! identical failure classes on kernels that must fail testing. A
-//! separate decline-list test pins down exactly which kernel shapes the
-//! trace compiler refuses (they fall back to the fast VM) and checks
-//! the fallback still matches the reference.
+//! Engine-equivalence property tests: the compiled engine (SSA
+//! pipeline → pre-scheduled trace code, divergent branches under
+//! per-work-item masks) must be indistinguishable from the reference
+//! interpreter — bit-identical output buffers and equal `DynStats` on
+//! every generated kernel, and identical failure classes on kernels that
+//! must fail testing. The packed GEMM corpus is uniform; the copy-free
+//! direct kernel and the hand-written masked cases diverge. A separate
+//! decline-list test pins down exactly which kernel shapes the trace
+//! compiler refuses (they run on the reference interpreter).
 //!
 //! Cases come from a seeded [`clgemm_shim::Rng`], so failures reproduce
 //! deterministically.
 
 use clgemm::codegen::{generate, KERNEL_NAME};
+use clgemm::direct::{generate_direct, DirectParams, DIRECT_KERNEL_NAME};
 use clgemm::params::{Algorithm, KernelParams, StrideMode};
 use clgemm_blas::layout::{BlockLayout, PackedDims};
 use clgemm_blas::scalar::Precision;
-use clgemm_clc::{Arg, BufData, Engine, ExecOptions, Program, RuntimeError};
+use clgemm_blas::{GemmType, Trans};
+use clgemm_clc::vm::DynStats;
+use clgemm_clc::{Arg, BufData, Engine, ExecOptions, Kernel, NdRange, Program, RuntimeError};
 use clgemm_shim::Rng;
 
 /// Draw a valid parameter set (same constructive generator as the
@@ -98,11 +101,46 @@ fn fill(rng: &mut Rng, len: usize, prec: Precision) -> BufData {
     }
 }
 
-/// All three engines on one generated kernel; panics on any
-/// divergence. Returns whether the kernel took the specialised fast
-/// plan and whether the trace compiler accepted it.
-fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> (bool, bool) {
-    // Two blocks per dimension so several work-groups run (the fast
+/// Launch on both engines and require the same outcome: equal
+/// `DynStats` and bit-identical buffers on success, the same error
+/// class on failure. Returns the reference's result.
+fn same_on_both(
+    what: &str,
+    kernel: &Kernel<'_>,
+    nd: NdRange,
+    args: &[Arg],
+    bufs: &[BufData],
+    opts: ExecOptions,
+) -> Result<DynStats, RuntimeError> {
+    let mut ref_bufs = bufs.to_vec();
+    let reference = ExecOptions {
+        engine: Engine::Reference,
+        ..opts
+    };
+    let want = kernel.launch(nd, args, &mut ref_bufs, &reference);
+    let mut got_bufs = bufs.to_vec();
+    let got = kernel.launch(nd, args, &mut got_bufs, &opts);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g, w, "{what}: DynStats diverged");
+            for (i, (gb, rb)) in got_bufs.iter().zip(&ref_bufs).enumerate() {
+                assert_eq!(bits(gb), bits(rb), "{what}: buffer {i} not bit-identical");
+            }
+        }
+        (Err(g), Err(w)) => assert_eq!(
+            std::mem::discriminant(g),
+            std::mem::discriminant(w),
+            "{what}: failure class differs: compiled {g} / reference {w}"
+        ),
+        _ => panic!("{what}: outcomes differ: compiled {got:?} / reference {want:?}"),
+    }
+    want
+}
+
+/// Both engines on one generated kernel; panics on any divergence.
+/// Returns whether the trace compiler accepted the kernel.
+fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> bool {
+    // Two blocks per dimension so several work-groups run (the compiled
     // engine parallelises across them) and k covers two KWG tiles.
     let (m, n) = (2 * p.mwg, 2 * p.nwg);
     let k = 2 * p.k_multiple();
@@ -118,7 +156,6 @@ fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> (bool, bool) {
         fill(rng, b_dims.len(), p.precision),
         fill(rng, m * n, p.precision),
     ];
-    let (alpha, beta) = (0.75, -0.5);
     let mut args = vec![
         Arg::Buf(0),
         Arg::Buf(1),
@@ -127,98 +164,193 @@ fn check_case(case: usize, rng: &mut Rng, p: &KernelParams) -> (bool, bool) {
         Arg::I32(n as i32),
         Arg::I32(k as i32),
     ];
-    match p.precision {
-        Precision::F32 => {
-            args.push(Arg::F32(alpha as f32));
-            args.push(Arg::F32(beta as f32));
-        }
-        Precision::F64 => {
-            args.push(Arg::F64(alpha));
-            args.push(Arg::F64(beta));
-        }
-    }
-    let nd = gen.ndrange(m, n);
-
-    let mut ref_bufs = bufs.clone();
-    let reference = kernel
-        .launch(nd, &args, &mut ref_bufs, &ExecOptions::reference())
-        .unwrap_or_else(|e| panic!("case {case}: reference launch: {e}\n{}", p.describe()));
-
-    for engine in [Engine::Fast, Engine::Compiled] {
-        let opts = ExecOptions {
-            engine,
-            ..Default::default()
-        };
-        let mut eng_bufs = bufs.clone();
-        let stats = kernel
-            .launch(nd, &args, &mut eng_bufs, &opts)
-            .unwrap_or_else(|e| panic!("case {case}: {engine:?} launch: {e}\n{}", p.describe()));
-        assert_eq!(
-            stats,
-            reference,
-            "case {case}: {engine:?} DynStats diverged\n{}",
-            p.describe()
-        );
-        for (i, (eb, rb)) in eng_bufs.iter().zip(&ref_bufs).enumerate() {
-            assert_eq!(
-                bits(eb),
-                bits(rb),
-                "case {case}: {engine:?} buffer {i} not bit-identical\n{}",
-                p.describe()
-            );
-        }
-    }
-    let ck = kernel.compiled();
-    (ck.fast.is_some(), ck.trace.is_some())
+    args.extend(scalars(p.precision, 0.75, -0.5));
+    let what = format!("case {case}: {}", p.describe());
+    same_on_both(
+        &what,
+        &kernel,
+        gen.ndrange(m, n),
+        &args,
+        &bufs,
+        ExecOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{what}: launch: {e}"));
+    kernel.compiled().trace.is_some()
 }
 
-/// ≥200 random parameter sets: identical buffers and stats across all
-/// three engines, and every generated kernel must actually take both
-/// accelerated plans (a silent fallback would make the equivalence
-/// test vacuous).
+fn scalars(prec: Precision, alpha: f64, beta: f64) -> [Arg; 2] {
+    match prec {
+        Precision::F32 => [Arg::F32(alpha as f32), Arg::F32(beta as f32)],
+        Precision::F64 => [Arg::F64(alpha), Arg::F64(beta)],
+    }
+}
+
+/// ≥200 random parameter sets: identical buffers and stats on both
+/// engines, and every generated kernel must actually compile (a silent
+/// fallback would make the equivalence test vacuous).
 #[test]
 fn engines_agree_on_random_params() {
     let mut rng = Rng::new(0xFA57_E9E5);
     let cases = 200;
-    let (mut specialized, mut traced) = (0usize, 0usize);
+    let mut traced = 0usize;
     for case in 0..cases {
         let p = valid_params(&mut rng);
-        let (fast, compiled) = check_case(case, &mut rng, &p);
-        specialized += usize::from(fast);
-        traced += usize::from(compiled);
+        traced += usize::from(check_case(case, &mut rng, &p));
     }
-    assert_eq!(
-        specialized, cases,
-        "every generated kernel should specialise onto the fast plan"
-    );
     assert_eq!(
         traced, cases,
         "every generated kernel should be accepted by the trace compiler"
     );
 }
 
-/// The explicit decline list: kernel shapes the trace compiler refuses,
-/// each with its pinned reason. Declining is a routing decision, not a
-/// failure — the launch falls back to the fast VM and must still match
-/// the reference bit-for-bit. If a pipeline change starts accepting one
-/// of these (or declining something new), this test is the place that
-/// documents it.
+/// The paper's copy-free direct kernel guards every load and store with
+/// `row < M` / `col < N`, so its edge work-groups diverge. ≥64 seeded
+/// cases over random blockings, all four GEMM types and both precisions
+/// at ragged sizes — including `K < KWI` and `M` or `N` below one
+/// work-group's tile — must compile and match the reference.
 #[test]
-fn compiled_engine_decline_list() {
+fn direct_kernels_agree_on_random_params() {
+    let mut rng = Rng::new(0xD1EC_7000);
+    let cases = 64;
+    for case in 0..cases {
+        let ty = GemmType::ALL[case % 4];
+        let precision = if case % 8 < 4 {
+            Precision::F32
+        } else {
+            Precision::F64
+        };
+        let (mdimc, ndimc) = (rng.range(1, 9), rng.range(1, 9));
+        let p = DirectParams {
+            mwg: mdimc * rng.range(1, 4),
+            nwg: ndimc * rng.range(1, 4),
+            mdimc,
+            ndimc,
+            kwi: rng.range(1, 5),
+            ty,
+            precision,
+        };
+        // Every fourth case undercuts a tile or the unroll depth.
+        let (m, n, k) = match case % 4 {
+            0 => (rng.range(1, p.mwg + 1), rng.range(1, 40), rng.range(1, 30)),
+            1 => (rng.range(1, 40), rng.range(1, p.nwg + 1), rng.range(1, 30)),
+            2 => (rng.range(1, 40), rng.range(1, 40), rng.range(1, p.kwi + 1)),
+            _ => (rng.range(1, 48), rng.range(1, 48), rng.range(1, 48)),
+        };
+        let pad = rng.range(0, 3);
+        let (a_rows, a_cols) = if ty.ta == Trans::No { (m, k) } else { (k, m) };
+        let (b_rows, b_cols) = if ty.tb == Trans::No { (k, n) } else { (n, k) };
+        let (lda, ldb, ldc) = (a_rows + pad, b_rows + pad, m + pad);
+        let bufs = vec![
+            fill(&mut rng, lda * a_cols, precision),
+            fill(&mut rng, ldb * b_cols, precision),
+            fill(&mut rng, ldc * n, precision),
+        ];
+        let mut args = vec![Arg::Buf(0), Arg::Buf(1), Arg::Buf(2)];
+        args.extend([m, n, k, lda, ldb, ldc].map(|x| Arg::I32(x as i32)));
+        args.extend(scalars(precision, 1.25, -0.75));
+        let gen = generate_direct(&p).unwrap_or_else(|e| panic!("direct {case}: {e}"));
+        let prog = Program::compile(&gen.source).expect("direct kernel compiles");
+        let kernel = prog.kernel(DIRECT_KERNEL_NAME).expect("kernel present");
+        let what = format!("direct {case}: {p:?} at {m}x{n}x{k} (pad {pad})");
+        assert!(
+            kernel.compiled().trace.is_some(),
+            "{what}: declined: {:?}",
+            kernel.compiled().trace_decline
+        );
+        same_on_both(
+            &what,
+            &kernel,
+            p.ndrange(m, n),
+            &args,
+            &bufs,
+            ExecOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{what}: launch: {e}"));
+    }
+}
+
+/// Hand-written divergent kernels, each compared against the reference:
+/// masked traps and bounds checks, early returns, nested and looping
+/// divergence, a varying branch between barriers, and a divergent
+/// endless loop cut by the step limit.
+#[test]
+fn masked_execution_matches_reference() {
     let n = 32usize;
-    let declines: &[(&str, &str, &[Arg])] = &[
-        // A bounds guard branches on get_global_id — varying per
-        // work-item, so the trace (one schedule per work-group) cannot
-        // represent both sides.
+    let tight = ExecOptions {
+        step_limit: 2_000,
+        ..Default::default()
+    };
+    let cases: &[(&str, &[Arg], ExecOptions, bool)] = &[
+        // Integer division by zero on the lanes the guard disables.
+        (
+            r"__kernel void k(__global float* y, int n) {
+                int i = get_global_id(0);
+                int d = i - 3;
+                if (d != 0) { y[i] = (float)(96 / d + 96 % d); }
+            }",
+            &[Arg::Buf(0), Arg::I32(32)],
+            ExecOptions::default(),
+            true,
+        ),
+        // Out-of-bounds loads and stores behind a guard.
+        (
+            r"__kernel void k(__global float* y, int n) {
+                int i = get_global_id(0) * 3;
+                if (i < n) { y[i] = y[i + 1] * 2.0f; }
+            }",
+            &[Arg::Buf(0), Arg::I32(30)],
+            ExecOptions::default(),
+            true,
+        ),
+        // An unguarded out-of-bounds store still fails.
+        (
+            r"__kernel void k(__global float* y, int n) {
+                int i = get_global_id(0);
+                if (i > 20) { y[i + n] = 1.0f; }
+            }",
+            &[Arg::Buf(0), Arg::I32(16)],
+            ExecOptions::default(),
+            false,
+        ),
+        // Early return retires only the returning work-items.
+        (
+            r"__kernel void k(__global float* y, int n) {
+                int i = get_global_id(0);
+                if (i >= n) return;
+                y[i] = y[i] * 3.0f + (float)i;
+            }",
+            &[Arg::Buf(0), Arg::I32(19)],
+            ExecOptions::default(),
+            true,
+        ),
+        // Nested varying if/else with a join after each level.
+        (
+            r"__kernel void k(__global float* y, int n) {
+                int i = get_global_id(0);
+                float v = y[i];
+                if (i % 3 == 0) {
+                    if (v > 0.0f) { v = v * 2.0f; } else { v = v - 1.0f; }
+                    v = v + 0.5f;
+                } else {
+                    if (i < n) { v = -v; }
+                }
+                y[i] = v;
+            }",
+            &[Arg::Buf(0), Arg::I32(11)],
+            ExecOptions::default(),
+            true,
+        ),
+        // The former decline list: a bounds guard, and loops whose trip
+        // count depends on loaded data or on the work-item id.
         (
             r"__kernel void k(__global float* y, int n) {
                 int i = get_global_id(0);
                 if (i < n) { y[i] = y[i] + 1.0f; }
             }",
-            "work-item-divergent branch condition",
-            &[Arg::Buf(0), Arg::I32(32)],
+            &[Arg::Buf(0), Arg::I32(21)],
+            ExecOptions::default(),
+            true,
         ),
-        // Loop trip count depends on loaded data.
         (
             r"__kernel void k(__global float* y) {
                 int i = get_global_id(0);
@@ -226,10 +358,10 @@ fn compiled_engine_decline_list() {
                 while (x > 0.5f) { x = x - 1.0f; }
                 y[i] = x;
             }",
-            "work-item-divergent branch condition",
             &[Arg::Buf(0)],
+            ExecOptions::default(),
+            true,
         ),
-        // Loop trip count depends on the work-item id.
         (
             r"__kernel void k(__global float* y) {
                 int i = get_global_id(0);
@@ -237,44 +369,165 @@ fn compiled_engine_decline_list() {
                 for (int j = 0; j < i + 1; j = j + 1) { acc = acc + 2.0f; }
                 y[i] = acc;
             }",
-            "work-item-divergent branch condition",
             &[Arg::Buf(0)],
+            ExecOptions::default(),
+            true,
+        ),
+        // Tree reduction: a varying `if` between barriers.
+        (
+            r"__kernel void k(__global float* y) {
+                __local float scratch[8];
+                int l = get_local_id(0);
+                scratch[l] = y[get_global_id(0)];
+                barrier(1);
+                int stride = 4;
+                while (stride > 0) {
+                    if (l < stride) {
+                        scratch[l] = scratch[l] + scratch[l + stride];
+                    }
+                    barrier(1);
+                    stride = stride / 2;
+                }
+                if (l == 0) { y[get_global_id(0)] = scratch[0]; }
+            }",
+            &[Arg::Buf(0)],
+            ExecOptions::default(),
+            true,
+        ),
+        // Even work-items spin forever; the step limit cuts them off.
+        (
+            r"__kernel void k(__global float* y) {
+                int i = get_global_id(0);
+                while (i % 2 == 0) { i = i + 2; }
+                y[get_global_id(0)] = (float)i;
+            }",
+            &[Arg::Buf(0)],
+            tight,
+            false,
         ),
     ];
-    for (case, (src, want, args)) in declines.iter().enumerate() {
+    for (case, (src, args, opts, ok)) in cases.iter().enumerate() {
+        let prog = Program::compile(src).unwrap_or_else(|e| panic!("masked {case}: {e}"));
+        let kernel = prog.kernel("k").expect("kernel present");
+        assert!(
+            kernel.compiled().trace.is_some(),
+            "masked {case}: declined: {:?}",
+            kernel.compiled().trace_decline
+        );
+        let init = BufData::F32((0..n).map(|i| (i as f32) / 3.0 - 4.0).collect());
+        let r = same_on_both(
+            &format!("masked {case}"),
+            &kernel,
+            NdRange::d1(n, 8),
+            args,
+            &[init],
+            *opts,
+        );
+        assert_eq!(r.is_ok(), *ok, "masked {case}: {r:?}");
+    }
+}
+
+/// Under masks each work-item counts only the blocks it ran: both
+/// sides of a divergent `if` execute, but a step limit equal to one
+/// work-item's own count must still pass on both engines.
+#[test]
+fn step_limit_counts_each_work_item_under_masks() {
+    let src = r"__kernel void k(__global float* y) {
+        int i = get_global_id(0);
+        float acc = y[i];
+        if (i % 2 == 0) {
+            for (int j = 0; j < 40; j = j + 1) { acc = acc * 0.5f + 1.0f; }
+        } else {
+            for (int j = 0; j < 40; j = j + 1) { acc = acc * 0.25f - 1.0f; }
+        }
+        y[i] = acc;
+    }";
+    let prog = Program::compile(src).unwrap();
+    let kernel = prog.kernel("k").unwrap();
+    assert!(kernel.compiled().trace.is_some());
+    let (n, nd) = (8usize, NdRange::d1(8, 8));
+    let bufs = [BufData::F32((0..n).map(|i| i as f32).collect())];
+    let full = same_on_both(
+        "unlimited",
+        &kernel,
+        nd,
+        &[Arg::Buf(0)],
+        &bufs,
+        Default::default(),
+    )
+    .expect("runs");
+    // The `then` side ends in one extra jump, so its work-items run one
+    // step more than the others: the ceiling of the mean is the longest.
+    let own = full.instrs.div_ceil(n as u64);
+    let exact = ExecOptions {
+        step_limit: own,
+        ..Default::default()
+    };
+    same_on_both("exact limit", &kernel, nd, &[Arg::Buf(0)], &bufs, exact).expect("fits");
+    let short = ExecOptions {
+        step_limit: own - 1,
+        ..Default::default()
+    };
+    assert!(same_on_both("short limit", &kernel, nd, &[Arg::Buf(0)], &bufs, short).is_err());
+}
+
+/// The explicit decline list: the kernel shapes the trace compiler
+/// refuses, each with its pinned reason — a barrier under a divergent
+/// branch, including one after a divergent `return`. Declined kernels
+/// run on the reference interpreter, so the compiled route must fail
+/// with the reference's exact error. If a pipeline change starts
+/// accepting one of these (or declining something new), this test is
+/// the place that documents it.
+#[test]
+fn compiled_engine_decline_list() {
+    let declines = [
+        r"__kernel void k(__global double* y) {
+            int l = get_local_id(0);
+            if (l == 0) { barrier(1); }
+            y[get_global_id(0)] = (double)l;
+        }",
+        r"__kernel void k(__global double* y) {
+            int l = get_local_id(0);
+            if (l == 1) return;
+            barrier(1);
+            y[get_global_id(0)] = (double)l;
+        }",
+        r"__kernel void k(__global double* y) {
+            int l = get_local_id(0);
+            int i = 0;
+            while (i < l) { barrier(1); i = i + 1; }
+            y[get_global_id(0)] = (double)i;
+        }",
+    ];
+    for (case, src) in declines.iter().enumerate() {
         let prog = Program::compile(src).unwrap_or_else(|e| panic!("decline {case}: {e}"));
         let kernel = prog.kernel("k").expect("kernel present");
         let ck = kernel.compiled();
         assert!(ck.trace.is_none(), "decline {case}: unexpectedly accepted");
         let reason = ck.trace_decline.as_deref().unwrap_or("");
         assert!(
-            reason.contains(want),
-            "decline {case}: reason {reason:?} does not mention {want:?}"
+            reason.contains("barrier under a work-item-divergent branch"),
+            "decline {case}: reason {reason:?}"
         );
-        // The fallback still has to be right: Compiled (→ fast VM) and
-        // the reference must agree bit-for-bit.
-        let nd = clgemm_clc::NdRange::d1(n, 8);
-        let init = BufData::F32((0..n).map(|i| (i as f32) / 3.0 - 4.0).collect());
-        let mut cb = vec![init.clone()];
-        let cs = kernel
-            .launch(nd, args, &mut cb, &ExecOptions::default())
-            .unwrap_or_else(|e| panic!("decline {case}: compiled-route launch: {e}"));
-        let mut rb = vec![init];
-        let rs = kernel
-            .launch(nd, args, &mut rb, &ExecOptions::reference())
-            .unwrap_or_else(|e| panic!("decline {case}: reference launch: {e}"));
-        assert_eq!(cs, rs, "decline {case}: DynStats diverged on fallback");
-        assert_eq!(
-            bits(&cb[0]),
-            bits(&rb[0]),
-            "decline {case}: fallback buffers not bit-identical"
+        let nd = NdRange::d1(8, 4);
+        let run = |opts: &ExecOptions| {
+            let mut bufs = vec![BufData::F64(vec![0.0; 8])];
+            kernel
+                .launch(nd, &[Arg::Buf(0)], &mut bufs, opts)
+                .unwrap_err()
+        };
+        let re = run(&ExecOptions::reference());
+        assert!(
+            matches!(re, RuntimeError::BarrierDivergence { .. }),
+            "decline {case}: {re}"
         );
+        assert_eq!(run(&ExecOptions::default()).to_string(), re.to_string());
     }
 }
 
 /// A kernel whose work-items diverge at a barrier must fail with the
-/// same error on every engine (the compiled route declines this kernel
-/// and reaches the failure through its fast-VM fallback).
+/// same error on both engines (the compiled route declines this kernel
+/// and reaches the failure on the reference interpreter).
 #[test]
 fn divergence_fails_identically_on_all_engines() {
     let src = r#"
@@ -286,28 +539,24 @@ fn divergence_fails_identically_on_all_engines() {
     "#;
     let prog = Program::compile(src).unwrap();
     let kernel = prog.kernel("div").unwrap();
-    let nd = clgemm_clc::NdRange::d1(8, 4);
-    let mut b2 = vec![BufData::F64(vec![0.0; 8])];
-    let re = kernel
-        .launch(nd, &[Arg::Buf(0)], &mut b2, &ExecOptions::reference())
-        .unwrap_err();
-    assert!(matches!(re, RuntimeError::BarrierDivergence { .. }), "{re}");
-    for engine in [Engine::Fast, Engine::Compiled] {
+    let nd = NdRange::d1(8, 4);
+    let [ce, re] = [Engine::Compiled, Engine::Reference].map(|engine| {
         let opts = ExecOptions {
             engine,
             ..Default::default()
         };
-        let mut b1 = vec![BufData::F64(vec![0.0; 8])];
-        let fe = kernel
-            .launch(nd, &[Arg::Buf(0)], &mut b1, &opts)
-            .unwrap_err();
-        assert_eq!(fe.to_string(), re.to_string(), "{engine:?}");
-    }
+        let mut bufs = vec![BufData::F64(vec![0.0; 8])];
+        kernel
+            .launch(nd, &[Arg::Buf(0)], &mut bufs, &opts)
+            .unwrap_err()
+    });
+    assert!(matches!(re, RuntimeError::BarrierDivergence { .. }), "{re}");
+    assert_eq!(ce.to_string(), re.to_string());
 }
 
 /// A kernel where distinct work-groups write the same global cell must
-/// fail as a global race on every engine. Attribution (which pair of
-/// groups is reported) is schedule-dependent on the parallel engines,
+/// fail as a global race on both engines. Attribution (which pair of
+/// groups is reported) is schedule-dependent on the parallel engine,
 /// so only the error class is compared.
 #[test]
 fn inter_group_race_fails_identically_on_all_engines() {
@@ -318,19 +567,16 @@ fn inter_group_race_fails_identically_on_all_engines() {
     "#;
     let prog = Program::compile(src).unwrap();
     let kernel = prog.kernel("clash").unwrap();
-    let nd = clgemm_clc::NdRange::d1(8, 2);
-    for engine in [Engine::Compiled, Engine::Fast, Engine::Reference] {
-        let opts = ExecOptions {
-            engine,
-            ..Default::default()
-        };
+    let nd = NdRange::d1(8, 2);
+    for opts in [ExecOptions::default(), ExecOptions::reference()] {
         let mut bufs = vec![BufData::F64(vec![0.0])];
         let err = kernel
             .launch(nd, &[Arg::Buf(0)], &mut bufs, &opts)
             .unwrap_err();
         assert!(
             matches!(err, RuntimeError::GlobalRace { .. }),
-            "{engine:?}: {err}"
+            "{:?}: {err}",
+            opts.engine
         );
     }
 }
