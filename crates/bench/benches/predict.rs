@@ -4,41 +4,29 @@
 //! Full runs produce `BENCH_predict.json` at the repo root: per
 //! `(device, precision)` the full stage-1 candidate count, the count
 //! surviving the analytical feasible set, the prune ratio, the best
-//! model GFlop/s on each side, and the serve cold-start latency with
-//! the predictor against the legacy synchronous tuning path. Smoke
-//! mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the regression gate:
-//! the feasible set must shrink stage 1 by ≥ 10× on EVERY built-in
-//! profile while keeping the searched winner within 2%, and a
+//! model GFlop/s on each side, the seconds spent enumerating the full
+//! space and scoring every candidate serially, and the serve cold-start
+//! latency with the predictor against the legacy synchronous tuning
+//! path. Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the
+//! regression gate: the feasible set must shrink stage 1 by ≥ 10× on
+//! EVERY built-in profile while keeping the searched winner within 2%,
+//! enumerating the spaces must take no longer than scoring them, and a
 //! predictor cold start must beat a synchronous tune-on-miss cold
 //! start outright.
 
 use clgemm::params::KernelParams;
 use clgemm::predict::FeasibleSet;
-use clgemm::tuner::search::measure_gflops;
+use clgemm::tuner::search::{measure_gflops, stage1_base, stage1_n};
 use clgemm::tuner::SearchSpace;
 use clgemm_blas::matrix::{Matrix, StorageOrder};
 use clgemm_blas::scalar::Precision;
 use clgemm_blas::GemmType;
-use clgemm_device::{DeviceId, DeviceKind, DeviceSpec};
+use clgemm_device::{DeviceId, DeviceSpec};
 use clgemm_serve::{GemmPayload, GemmRequest, GemmServer, ServeConfig};
 use clgemm_shim::bench::fmt_secs;
 use clgemm_shim::json::Json;
 use clgemm_trace::Registry;
 use std::time::Instant;
-
-/// Smallest stage-1 size ≥ `base` that `p`'s blocking divides.
-fn padded(p: &KernelParams, base: usize) -> usize {
-    fn gcd(a: usize, b: usize) -> usize {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let lcm = |a: usize, b: usize| a / gcd(a, b) * b;
-    let step = lcm(lcm(p.mwg, p.nwg), p.k_multiple());
-    base.div_ceil(step) * step
-}
 
 struct PruneRow {
     device: DeviceId,
@@ -48,23 +36,27 @@ struct PruneRow {
     ratio: f64,
     full_best: f64,
     kept_best: f64,
+    enumerate_seconds: f64,
+    score_seconds: f64,
 }
 
 /// Stage-1 pruning on one `(device, precision)`: full space vs the
 /// analytical feasible subset, both scored by the tuner's own stage-1
-/// model at the stage-1 base size.
+/// model at the tuner's stage-1 size. Enumerating the full space and
+/// scoring it serially are timed separately.
 fn prune_row(device: DeviceId, precision: Precision) -> PruneRow {
     let dev: DeviceSpec = device.spec();
-    let base = match dev.kind {
-        DeviceKind::Gpu => 4096,
-        DeviceKind::Cpu => 1536,
-    };
+    let base = stage1_base(&dev);
     let space = SearchSpace::for_device(&dev);
+    let t = Instant::now();
     let candidates = space.enumerate(&dev, precision);
+    let enumerate_seconds = t.elapsed().as_secs_f64();
     let feasible = FeasibleSet::derive(&dev, precision);
     let kept: Vec<&KernelParams> = candidates.iter().filter(|p| feasible.admits(p)).collect();
-    let score = |p: &KernelParams| measure_gflops(p, &dev, padded(p, base)).unwrap_or(0.0);
+    let score = |p: &KernelParams| measure_gflops(p, &dev, stage1_n(p, base)).unwrap_or(0.0);
+    let t = Instant::now();
     let full_best = candidates.iter().map(score).fold(0.0f64, f64::max);
+    let score_seconds = t.elapsed().as_secs_f64();
     let kept_best = kept.iter().map(|p| score(p)).fold(0.0f64, f64::max);
     PruneRow {
         device,
@@ -74,6 +66,8 @@ fn prune_row(device: DeviceId, precision: Precision) -> PruneRow {
         ratio: candidates.len() as f64 / kept.len().max(1) as f64,
         full_best,
         kept_best,
+        enumerate_seconds,
+        score_seconds,
     }
 }
 
@@ -132,10 +126,26 @@ fn main() {
     }
     for r in &rows {
         println!(
-            "predict/prune {:?} {:?}: {} -> {} candidates ({:.1}x), best {:.1} -> {:.1} GFlop/s",
-            r.device, r.precision, r.full, r.kept, r.ratio, r.full_best, r.kept_best
+            "predict/prune {:?} {:?}: {} -> {} candidates ({:.1}x), best {:.1} -> {:.1} GFlop/s; enumerate {}, score {}",
+            r.device,
+            r.precision,
+            r.full,
+            r.kept,
+            r.ratio,
+            r.full_best,
+            r.kept_best,
+            fmt_secs(r.enumerate_seconds),
+            fmt_secs(r.score_seconds)
         );
     }
+    let enumerate_total: f64 = rows.iter().map(|r| r.enumerate_seconds).sum();
+    let score_total: f64 = rows.iter().map(|r| r.score_seconds).sum();
+    println!(
+        "predict/enumerate: {} enumerating vs {} scoring serially ({:.2}x)",
+        fmt_secs(enumerate_total),
+        fmt_secs(score_total),
+        enumerate_total / score_total
+    );
 
     // Cold-start latency: predictor vs the legacy synchronous search.
     let predicted = cold_start_secs(true, false);
@@ -172,7 +182,18 @@ fn main() {
             rows.len()
         );
 
-        // CI gate 2: a predicted cold start runs no synchronous search,
+        // CI gate 2: building the candidate list must cost no more than
+        // one timing-model call per candidate; both run on this host,
+        // so its speed cancels out of the ratio.
+        assert!(
+            enumerate_total <= score_total,
+            "enumerating the spaces ({}) took longer than scoring them serially ({})",
+            fmt_secs(enumerate_total),
+            fmt_secs(score_total)
+        );
+        println!("predict smoke gate: enumeration is cheaper than serial scoring");
+
+        // CI gate 3: a predicted cold start runs no synchronous search,
         // so it must beat the tune-on-miss cold start outright.
         assert!(
             predicted < synced,
@@ -199,6 +220,8 @@ fn main() {
                             ("ratio", Json::Num(r.ratio)),
                             ("full_best_gflops", Json::Num(r.full_best)),
                             ("pruned_best_gflops", Json::Num(r.kept_best)),
+                            ("enumerate_seconds", Json::Num(r.enumerate_seconds)),
+                            ("score_seconds", Json::Num(r.score_seconds)),
                         ])
                     })
                     .collect(),

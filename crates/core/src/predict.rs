@@ -62,10 +62,9 @@
 //! `CLGEMM_PREDICT=off` disables the serve-side predictor (see
 //! [`predict_enabled`]).
 
-use std::collections::HashSet;
-
-use crate::params::{Algorithm, KernelParams, StrideMode};
-use crate::tuner::search::{measure_gflops, stage1_n};
+use crate::params::{decided, knob, Algorithm, KernelParams, StrideMode};
+use crate::tuner::search::{measure_gflops, stage1_base, stage1_n};
+use crate::tuner::space::Operand;
 use clgemm_blas::layout::BlockLayout;
 use clgemm_blas::scalar::Precision;
 use clgemm_device::{occupancy, DeviceSpec, LocalMemType};
@@ -201,9 +200,7 @@ impl FeasibleSet {
             // Beyond the load unit the access splits; only the direct
             // unit-stride A path (§III-B transaction amplification)
             // still profits from the wider type.
-            let direct_a_escape =
-                !p.local_a && p.stride_m == StrideMode::Unit && p.mwi().is_multiple_of(p.vw);
-            if p.vw * elem > micro.max_load_bytes && !direct_a_escape {
+            if p.vw * elem > micro.max_load_bytes && !p.direct_a_vec() {
                 return Some(PruneReason::VectorWidth);
             }
         }
@@ -216,22 +213,13 @@ impl FeasibleSet {
         if p.stride_n == StrideMode::NonUnit {
             return Some(PruneReason::StrideDup);
         }
-        if p.local_a {
-            if let Some(best) =
-                canonical_loader_dim(p.wg_size(), p.mwg, p.kwg, p.mdimc, p.vw, p.mdima)
-            {
-                if p.mdima != best {
-                    return Some(PruneReason::LoaderShape);
-                }
-            }
-        }
-        if p.local_b {
-            if let Some(best) =
-                canonical_loader_dim(p.wg_size(), p.nwg, p.kwg, p.ndimc, p.vw, p.ndimb)
-            {
-                if p.ndimb != best {
-                    return Some(PruneReason::LoaderShape);
-                }
+        let loaders = [
+            (Operand::A, p.local_a, p.mwg, p.mdima),
+            (Operand::B, p.local_b, p.nwg, p.ndimb),
+        ];
+        for (side, staged, wwg, dim) in loaders {
+            if staged && canonical_loader_dim(p, side, wwg, dim, dev).is_some_and(|d| d != dim) {
+                return Some(PruneReason::LoaderShape);
             }
         }
         match occupancy(dev, p.wg_size(), p.regs_per_wi(), p.lds_bytes()) {
@@ -261,55 +249,51 @@ impl FeasibleSet {
     /// profile — registers, LDS, barriers, DRAM bytes, coalescing — is
     /// vw-independent.
     fn dominated_by_wider_vw(&self, p: &KernelParams) -> bool {
-        let wider = p.vw * 2;
-        if wider > 8 || !p.nwi().is_multiple_of(wider) {
-            return false;
-        }
-        if wider * p.elem_bytes() > self.dev.micro.max_load_bytes {
+        let twin = KernelParams { vw: p.vw * 2, ..*p };
+        let reads_vw = const { decided(knob::ALL & !knob::VW, knob::ALL) };
+        if !twin.satisfies(reads_vw, &self.dev)
+            || twin.vw * p.elem_bytes() > self.dev.micro.max_load_bytes
+        {
             return false;
         }
         // A width-1 access is width-1 whether or not its `*_vec` flag
         // holds, so "degradation" can only happen from vw > 1.
-        let loader_a_keeps =
-            !(p.local_a && p.loader_a_vec() && p.vw > 1) || p.mwg.is_multiple_of(p.mdima * wider);
-        let loader_b_keeps =
-            !(p.local_b && p.loader_b_vec() && p.vw > 1) || p.nwg.is_multiple_of(p.ndimb * wider);
-        let read_a_keeps = !(p.read_a_vec() && p.vw > 1) || p.mwi().is_multiple_of(wider);
-        loader_a_keeps && loader_b_keeps && read_a_keeps
+        let keeps = |was: bool, is: bool| !was || is;
+        p.vw == 1
+            || keeps(p.loader_a_vec(), twin.loader_a_vec())
+                && keeps(p.loader_b_vec(), twin.loader_b_vec())
+                && keeps(p.read_a_vec(), twin.read_a_vec())
     }
 }
 
-/// Canonical loader shape for one staged operand. A loader moves
-/// `wwg·kwg / wg` elements however the work-group is reshaped over the
-/// block, so among the search space's sibling shapes `{dimc, 2·dimc}`
-/// (see `tuner::space::loader_dims`) the only model-visible difference
-/// is whether `wwg % (dim·vw) == 0` grants width-`vw` loads. Siblings in
-/// the same class are model-identical; the vector class weakly dominates
-/// the scalar one. Returns the unique representative — the smallest
-/// sibling of the best class — or `None` when `dim` is not one of the
-/// recognised siblings (the space's rare fallback shapes), where no
-/// dominance claim is made. Registers, LDS, occupancy, and the PL
-/// prefetch term (`wwg·kwg / wg` again) are all shape-independent.
+/// Canonical loader shape for one staged operand of `p` with block extent
+/// `wwg` and loader shape `dim`. A loader moves `wwg·kwg / wg` elements
+/// however the work-group is reshaped over the block, so among the
+/// space's sibling shapes `{dimc, 2·dimc}` ([`Operand::siblings`]) the
+/// only model-visible difference is whether `wwg % (dim·vw) == 0` grants
+/// width-`vw` loads. Siblings in the same class are model-identical; the
+/// vector class weakly dominates the scalar one. Returns the unique
+/// representative — the smallest sibling of the best class — or `None`
+/// when `dim` is not one of the recognised siblings (the space's rare
+/// fallback shapes), where no dominance claim is made. Registers, LDS,
+/// occupancy, and the PL prefetch term (`wwg·kwg / wg` again) are all
+/// shape-independent.
 fn canonical_loader_dim(
-    wg: usize,
+    p: &KernelParams,
+    side: Operand,
     wwg: usize,
-    kwg: usize,
-    dimc: usize,
-    vw: usize,
     dim: usize,
+    dev: &DeviceSpec,
 ) -> Option<usize> {
-    let siblings: Vec<usize> = [dimc, dimc * 2]
-        .into_iter()
-        .filter(|&d| wg.is_multiple_of(d) && wwg.is_multiple_of(d) && kwg.is_multiple_of(wg / d))
-        .collect();
-    if !siblings.contains(&dim) {
+    let siblings = side.siblings(p, dev);
+    if !siblings.contains(&Some(dim)) {
         return None;
     }
-    siblings
-        .iter()
-        .copied()
-        .find(|&d| wwg.is_multiple_of(d * vw))
-        .or_else(|| siblings.first().copied())
+    let vector = siblings
+        .into_iter()
+        .flatten()
+        .find(|&d| wwg.is_multiple_of(d * p.vw));
+    vector.or(siblings.into_iter().flatten().next())
 }
 
 /// One predicted parameter set with its model-forecast performance at
@@ -319,15 +303,6 @@ pub struct Prediction {
     pub params: KernelParams,
     /// Model GFlop/s at the stage-1 size the tuner would have used.
     pub gflops: f64,
-}
-
-/// Stage-1 base size the ranking evaluates at (the paper's defaults).
-fn rank_base(dev: &DeviceSpec) -> usize {
-    if dev.is_cpu() {
-        1536
-    } else {
-        4096
-    }
 }
 
 /// Work-group shape preference list: the largest SIMT-aligned shapes
@@ -479,11 +454,11 @@ fn closed_form_candidates(dev: &DeviceSpec, precision: Precision) -> Vec<KernelP
 #[must_use]
 pub fn predict(dev: &DeviceSpec, precision: Precision) -> Vec<Prediction> {
     let feasible = FeasibleSet::derive(dev, precision);
-    let base = rank_base(dev);
-    let mut seen = HashSet::new();
+    let base = stage1_base(dev);
+    // The closed-form lists hold distinct values, so no candidate repeats.
     let mut preds: Vec<Prediction> = closed_form_candidates(dev, precision)
         .into_iter()
-        .filter(|p| p.validate().is_ok() && feasible.admits(p) && seen.insert(*p))
+        .filter(|p| p.validate().is_ok() && feasible.admits(p))
         .filter_map(|p| {
             let g = measure_gflops(&p, dev, stage1_n(&p, base))?;
             Some(Prediction {

@@ -19,8 +19,8 @@ pub struct SearchOpts {
     pub top_k: usize,
     /// Stage-2 sweep upper bound (paper: 8192).
     pub max_n: usize,
-    /// Stage-1 base problem size; `None` picks the paper's default
-    /// (4096 on GPUs, 1536 on CPUs).
+    /// Stage-1 base problem size; `None` picks the paper's default,
+    /// [`stage1_base`].
     pub stage1_base: Option<usize>,
     /// Cap on stage-2 sweep points per kernel (the paper measures every
     /// LCM multiple; a cap keeps tests fast without changing winners).
@@ -188,10 +188,20 @@ pub fn measure_gflops(p: &KernelParams, dev: &DeviceSpec, n: usize) -> Option<f6
     Some(est.gflops(2.0 * (n as f64).powi(3)))
 }
 
-/// Stage-1 problem size for a candidate: `⌊base/LCM⌋·LCM` (§III-F).
-/// Shared with the analytical predictor so its ranking evaluates at
-/// the exact size the search would have used.
-pub(crate) fn stage1_n(p: &KernelParams, base: usize) -> usize {
+/// The paper's stage-1 base problem size on `dev` (§III-F): 4096 on
+/// GPUs, 1536 on CPUs.
+#[must_use]
+pub fn stage1_base(dev: &DeviceSpec) -> usize {
+    match dev.kind {
+        DeviceKind::Gpu => 4096,
+        DeviceKind::Cpu => 1536,
+    }
+}
+
+/// Stage-1 problem size for a candidate: `⌊base/LCM⌋·LCM` (§III-F), or
+/// `base` rounded up when the LCM exceeds it. The strategies and the
+/// analytical predictor score at this size too.
+pub fn stage1_n(p: &KernelParams, base: usize) -> usize {
     let lcm = p.lcm_block();
     if lcm == 0 || lcm > base {
         round_up(base, lcm.max(1))
@@ -225,11 +235,10 @@ pub fn tune(
     let reg = Registry::global();
     reg.counter("tuner_runs_total").inc();
 
-    let base = opts.stage1_base.unwrap_or(match dev.kind {
-        DeviceKind::Gpu => 4096,
-        DeviceKind::Cpu => 1536,
-    });
+    let base = opts.stage1_base.unwrap_or_else(|| stage1_base(dev));
+    let enumerate_span = clgemm_trace::span!("tuner.enumerate");
     let mut candidates = space.enumerate(dev, precision);
+    drop(enumerate_span);
     let n_candidates = candidates.len();
     reg.counter("tuner_candidates_total")
         .add(n_candidates as u64);
@@ -292,10 +301,22 @@ pub fn tune(
     }
 
     // ---- stage 2: sweep the fastest top_k across LCM multiples ---------
+    // Fastest first, ties by candidate index: exactly the first `top_k`
+    // of a stable sort by GFlop/s, without sorting the rest.
+    let rank_span = clgemm_trace::span!("tuner.rank");
+    let order = |a: &(usize, f64, usize), b: &(usize, f64, usize)| {
+        b.1.partial_cmp(&a.1)
+            .expect("finite gflops")
+            .then(a.0.cmp(&b.0))
+    };
     let mut ranked = stage1;
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite gflops"));
     let survivors = ranked.len();
+    if opts.top_k > 0 && opts.top_k < survivors {
+        ranked.select_nth_unstable_by(opts.top_k - 1, order);
+    }
     ranked.truncate(opts.top_k);
+    ranked.sort_unstable_by(order);
+    drop(rank_span);
     if survivors > ranked.len() {
         reg.counter_labeled("tuner_pruned_total", &[("stage", "2"), ("reason", "rank")])
             .add((survivors - ranked.len()) as u64);

@@ -15,10 +15,10 @@
 //! exhaustive search, so results are exactly comparable.
 
 use crate::params::KernelParams;
-use crate::tuner::search::{measure_gflops, Measurement};
+use crate::tuner::search::{measure_gflops, stage1_base, stage1_n, Measurement};
 use crate::tuner::space::SearchSpace;
 use clgemm_blas::scalar::Precision;
-use clgemm_device::{DeviceKind, DeviceSpec};
+use clgemm_device::DeviceSpec;
 use clgemm_shim::Rng;
 
 /// A search strategy over a [`SearchSpace`].
@@ -44,20 +44,6 @@ pub struct StrategyResult {
     pub space_size: usize,
 }
 
-/// Stage-1 problem size (same rule as the exhaustive search).
-fn eval_n(p: &KernelParams, dev: &DeviceSpec) -> usize {
-    let base = match dev.kind {
-        DeviceKind::Gpu => 4096,
-        DeviceKind::Cpu => 1536,
-    };
-    let lcm = p.lcm_block().max(1);
-    if lcm > base {
-        clgemm_blas::layout::round_up(base, lcm)
-    } else {
-        (base / lcm) * lcm
-    }
-}
-
 struct Evaluator<'a> {
     dev: &'a DeviceSpec,
     count: usize,
@@ -66,7 +52,7 @@ struct Evaluator<'a> {
 impl<'a> Evaluator<'a> {
     fn eval(&mut self, p: &KernelParams) -> f64 {
         self.count += 1;
-        measure_gflops(p, self.dev, eval_n(p, self.dev)).unwrap_or(0.0)
+        measure_gflops(p, self.dev, stage1_n(p, stage1_base(self.dev))).unwrap_or(0.0)
     }
 }
 
@@ -149,7 +135,7 @@ pub fn tune_with_strategy(
     StrategyResult {
         best: Measurement {
             params: best_params,
-            n: eval_n(&best_params, dev),
+            n: stage1_n(&best_params, stage1_base(dev)),
             gflops: best_g,
         },
         evaluations: ev.count,

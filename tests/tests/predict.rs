@@ -14,7 +14,7 @@ use clgemm::predict::{
     predict, predict_best, predict_enabled, predict_enabled_in, FeasibleSet, MAX_CANDIDATES,
 };
 use clgemm::tile::{TileReason, TileSelector};
-use clgemm::tuner::search::measure_gflops;
+use clgemm::tuner::search::{measure_gflops, stage1_base, stage1_n};
 use clgemm::tuner::{Measurement, SearchSpace};
 use clgemm::tuning_db::{DbError, DbKey, TuningDb, DB_ENV, DB_MAGIC, DB_SCHEMA_VERSION};
 use clgemm_blas::matrix::{Matrix, StorageOrder};
@@ -43,21 +43,6 @@ fn dgemm_request(s: usize) -> GemmRequest {
             c: Matrix::zeros(s, s, order),
         },
     )
-}
-
-/// Smallest size ≥ `base` that every blocking dimension of `p` divides
-/// (the profile model rejects ragged shapes; the tuner pads the same way).
-fn padded(p: &KernelParams, base: usize) -> usize {
-    fn gcd(a: usize, b: usize) -> usize {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-    let lcm = |a: usize, b: usize| a / gcd(a, b) * b;
-    let step = lcm(lcm(p.mwg, p.nwg), p.k_multiple());
-    base.div_ceil(step) * step
 }
 
 fn serve_cfg(path: &Path, refine: bool) -> ServeConfig {
@@ -143,16 +128,16 @@ fn cpu_predictions_stay_lane_aligned_through_tile_selection() {
 fn predicted_best_reaches_half_of_the_searched_winner() {
     for id in DeviceId::ALL {
         let dev = id.spec();
-        let n = if dev.is_cpu() { 1536 } else { 4096 };
+        let base = stage1_base(&dev);
         for precision in [Precision::F32, Precision::F64] {
             let searched = SearchSpace::smoke(&dev)
                 .enumerate(&dev, precision)
                 .iter()
-                .filter_map(|p| measure_gflops(p, &dev, padded(p, n)))
+                .filter_map(|p| measure_gflops(p, &dev, stage1_n(p, base)))
                 .fold(0.0f64, f64::max);
             assert!(searched > 0.0, "{id:?} {precision:?}: empty smoke space");
             let best = predict_best(&dev, precision).expect("non-empty prediction");
-            let predicted = measure_gflops(&best.params, &dev, padded(&best.params, n))
+            let predicted = measure_gflops(&best.params, &dev, stage1_n(&best.params, base))
                 .expect("predictions are launchable");
             assert!(
                 predicted >= 0.5 * searched,
