@@ -84,10 +84,10 @@ where
     fn batched(&mut self, tg: &TunedGemm, opts: &BatchOptions) {
         tg.gemm_batch_with(
             &self.desc,
-            S::Acc::from_f64(1.0),
+            <S::Acc as Scalar>::from_f64(1.0),
             &self.a,
             &self.b,
-            S::Acc::from_f64(0.0),
+            <S::Acc as Scalar>::from_f64(0.0),
             &mut self.c,
             &mut self.ws,
             opts,

@@ -106,13 +106,19 @@ fn cold_start_once(predict: bool, tune_misses: bool) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Best of five fresh servers (each rep is a genuine cold start; the
-/// minimum strips scheduler noise from the ~ms-scale measurement).
-fn cold_start_secs(predict: bool, tune_misses: bool) -> f64 {
-    cold_start_once(predict, tune_misses); // warm allocators & thread pool
-    (0..5)
-        .map(|_| cold_start_once(predict, tune_misses))
-        .fold(f64::INFINITY, f64::min)
+/// Best of nine fresh servers per side, `(predicted, synchronous)`. Each
+/// rep is a genuine cold start and the minimum strips scheduler noise
+/// from the ~ms-scale measurement; the two sides' reps alternate so
+/// host drift during the measurement reaches both alike.
+fn cold_start_secs() -> (f64, f64) {
+    // Warm allocators & thread pool.
+    cold_start_once(true, false);
+    cold_start_once(false, true);
+    (0..9)
+        .map(|_| (cold_start_once(true, false), cold_start_once(false, true)))
+        .fold((f64::INFINITY, f64::INFINITY), |(p, s), (rp, rs)| {
+            (p.min(rp), s.min(rs))
+        })
 }
 
 fn main() {
@@ -148,8 +154,7 @@ fn main() {
     );
 
     // Cold-start latency: predictor vs the legacy synchronous search.
-    let predicted = cold_start_secs(true, false);
-    let synced = cold_start_secs(false, true);
+    let (predicted, synced) = cold_start_secs();
     println!(
         "predict/cold-start: predicted {} vs synchronous tune {} ({:.1}x)",
         fmt_secs(predicted),

@@ -22,10 +22,7 @@ use clgemm::params::{small_test_params, tahiti_dgemm_best};
 use clgemm::routine::{GemmOptions, GemmPath, HybridGemm, TunedGemm};
 use clgemm::tile::TileSelector;
 use clgemm_blas::matrix::{Matrix, StorageOrder};
-use clgemm_blas::pack::{
-    merge_c, merge_c_par, pack_into, pack_into_par, pack_operand, stage_c, stage_c_into_par,
-    PackSpec,
-};
+use clgemm_blas::pack::{merge, merge_c, pack, pack_into, pack_operand, stage, stage_c, PackSpec};
 use clgemm_blas::scalar::{Precision, Scalar};
 use clgemm_blas::workspace::{Workspace, WorkspaceScalar};
 use clgemm_blas::{GemmType, Trans};
@@ -108,7 +105,7 @@ fn bench_phases<T: WorkspaceScalar>(h: &mut Harness, m: usize, n: usize, k: usiz
         pack_into(&a, spec, k, m, &mut buf, dims);
     });
     h.bench(&format!("routine/pack_{tag}_fast"), || {
-        pack_into_par(&a, spec, k, m, &mut buf, dims);
+        pack(a.view(), spec, &mut buf, dims, false);
     });
     assert_eq!(buf, oracle, "parallel pack diverged during bench");
 
@@ -118,7 +115,7 @@ fn bench_phases<T: WorkspaceScalar>(h: &mut Harness, m: usize, n: usize, k: usiz
         std::hint::black_box(stage_c(&c, p.mwg, p.nwg));
     });
     h.bench(&format!("routine/stage_{tag}_fast"), || {
-        stage_c_into_par(&c, p.mwg, p.nwg, &mut staged);
+        stage(c.view(), p.mwg, p.nwg, &mut staged, false);
     });
     assert_eq!(staged, staged_oracle, "parallel stage diverged");
 
@@ -127,7 +124,7 @@ fn bench_phases<T: WorkspaceScalar>(h: &mut Harness, m: usize, n: usize, k: usiz
         merge_c(&staged, p.mwg, p.nwg, &mut out);
     });
     h.bench(&format!("routine/merge_{tag}_fast"), || {
-        merge_c_par(&staged, p.mwg, p.nwg, &mut out);
+        merge(&staged, p.mwg, p.nwg, out.view_mut(), false);
     });
 
     // Kernel phase: packed operands for a square padded problem.

@@ -4,6 +4,7 @@
 //! interface, while the generated kernels consume row-major packed buffers;
 //! this container supports both orders so every copy step is testable.
 
+use crate::pack::{View, ViewMut};
 use crate::scalar::Scalar;
 use crate::Trans;
 
@@ -184,6 +185,27 @@ impl<T: Scalar> Matrix<T> {
     /// Mutable raw storage.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Row and column strides: element `(i, j)` lives at `i·rs + j·cs`.
+    fn strides(&self) -> (usize, usize) {
+        match self.order {
+            StorageOrder::ColMajor => (1, self.ld),
+            StorageOrder::RowMajor => (self.ld, 1),
+        }
+    }
+
+    /// A borrowed strided view, what the fast copiers read.
+    #[must_use]
+    pub fn view(&self) -> View<'_, T> {
+        let (rs, cs) = self.strides();
+        View::new(&self.data, self.rows, self.cols, rs, cs)
+    }
+
+    /// A borrowed writable strided view, what the fast merge writes.
+    pub fn view_mut(&mut self) -> ViewMut<'_, T> {
+        let (rs, cs) = self.strides();
+        ViewMut::new(&mut self.data, self.rows, self.cols, rs, cs)
     }
 
     /// An explicit out-of-place transpose preserving the storage order.

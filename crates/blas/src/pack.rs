@@ -86,27 +86,118 @@ pub fn pack_into<T: Scalar>(
     }
 }
 
-/// Linear strides of the *source* read stream: `op(X)[p][w]` lives at
-/// `p · sp + w · sw` in `x`'s backing storage. Lets the fast packers walk
-/// the source without calling `at_op` (bounds check + branch) per cell.
-fn source_strides<T: Scalar>(x: &Matrix<T>, trans: Trans) -> (usize, usize) {
-    use crate::matrix::StorageOrder;
-    match (trans, x.order()) {
-        (Trans::No, StorageOrder::ColMajor) | (Trans::Yes, StorageOrder::RowMajor) => (1, x.ld()),
-        (Trans::No, StorageOrder::RowMajor) | (Trans::Yes, StorageOrder::ColMajor) => (x.ld(), 1),
+/// A borrowed strided `rows × cols` matrix: element `(i, j)` lives at
+/// `data[i·rs + j·cs]`. Row- and column-major [`Matrix`] storage
+/// ([`Matrix::view`]) and a column-major slab entry of a strided batch
+/// look the same through it, so one fast copier per role serves them
+/// all. `D` is `&[S]` for a [`View`], `&mut [S]` for a [`ViewMut`].
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<D> {
+    data: D,
+    rows: usize,
+    cols: usize,
+    rs: usize,
+    cs: usize,
+}
+
+/// A read-only [`Strided`] view.
+pub type View<'a, S> = Strided<&'a [S]>;
+/// A writable [`Strided`] view.
+pub type ViewMut<'a, S> = Strided<&'a mut [S]>;
+
+fn assert_in_bounds(len: usize, rows: usize, cols: usize, rs: usize, cs: usize) {
+    assert!(
+        rows == 0 || cols == 0 || (rows - 1) * rs + (cols - 1) * cs < len,
+        "{rows}x{cols} view with strides ({rs}, {cs}) overruns {len} elements"
+    );
+}
+
+impl<'a, S> View<'a, S> {
+    /// A view with row stride `rs` and column stride `cs`.
+    ///
+    /// # Panics
+    /// Panics if the last element lies outside `data`.
+    #[must_use]
+    pub fn new(data: &'a [S], rows: usize, cols: usize, rs: usize, cs: usize) -> Self {
+        assert_in_bounds(data.len(), rows, cols, rs, cs);
+        Strided {
+            data,
+            rows,
+            cols,
+            rs,
+            cs,
+        }
+    }
+}
+
+impl<'a, S: Copy> ViewMut<'a, S> {
+    /// A writable view with row stride `rs` and column stride `cs`, which
+    /// must be row- or column-major (one unit stride, a leading dimension
+    /// covering the other extent): rows or columns never overlap, so
+    /// [`merge`] can hand disjoint runs of them to threads.
+    ///
+    /// # Panics
+    /// Panics if the view overruns `data` or its rows or columns overlap.
+    pub fn new(data: &'a mut [S], rows: usize, cols: usize, rs: usize, cs: usize) -> Self {
+        assert_in_bounds(data.len(), rows, cols, rs, cs);
+        assert!(
+            (cs == 1 && rs >= cols) || (rs == 1 && cs >= rows),
+            "writable {rows}x{cols} view needs row- or column-major strides, got ({rs}, {cs})"
+        );
+        Strided {
+            data,
+            rows,
+            cols,
+            rs,
+            cs,
+        }
+    }
+
+    /// The same elements, read-only.
+    #[must_use]
+    pub fn view(&self) -> View<'_, S> {
+        View::new(self.data, self.rows, self.cols, self.rs, self.cs)
+    }
+
+    /// Replace every element `x` with `f(x)`; gaps between rows or
+    /// columns stay untouched.
+    pub fn update(&mut self, f: impl Fn(S) -> S) {
+        for j in 0..self.cols {
+            for i in 0..self.rows {
+                let cell = &mut self.data[i * self.rs + j * self.cs];
+                *cell = f(*cell);
+            }
+        }
+    }
+}
+
+/// `f(index, chunk)` over consecutive `chunk`-sized pieces of `data`, on
+/// `shim::par` threads unless `serial`.
+fn for_chunks<T: Send>(
+    data: &mut [T],
+    chunk: usize,
+    serial: bool,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if serial {
+        for (i, c) in data.chunks_mut(chunk.max(1)).enumerate() {
+            f(i, c);
+        }
+    } else {
+        clgemm_shim::par::par_chunks_mut(data, chunk, f);
     }
 }
 
 /// Copy one destination panel whose element `(pi, wi)` lives at
-/// `pi · wwg + wi`, reading `op(X)` starting at logical `(p0, w0)`.
+/// `pi · wwg + wi`, reading `op(X)[p][w]` at `base + p · sp + w · sw`.
 /// `klim × wlim` is the interior extent; the rest of the panel is the
 /// zero padding fringe and is the only part that gets zero-filled.
 #[allow(clippy::too_many_arguments)] // flat hot-path helper
-fn pack_panel<T: Scalar>(
-    panel: &mut [T],
+fn pack_panel<S: StorageScalar>(
+    panel: &mut [S::Acc],
     wwg: usize,
     rows: usize,
-    src: &[T],
+    src: &[S],
     base: usize,
     sp: usize,
     sw: usize,
@@ -120,7 +211,7 @@ fn pack_panel<T: Scalar>(
         for wi in 0..wlim {
             let src_col = &src[base + wi * sw..][..klim];
             for (pi, v) in src_col.iter().enumerate() {
-                panel[pi * wwg + wi] = *v;
+                panel[pi * wwg + wi] = v.widen();
             }
         }
     } else {
@@ -131,7 +222,7 @@ fn pack_panel<T: Scalar>(
             let row_base = base + pi * sp;
             let dst = &mut panel[pi * wwg..][..wlim];
             for (wi, d) in dst.iter_mut().enumerate() {
-                *d = src[row_base + wi * sw];
+                *d = src[row_base + wi * sw].widen();
             }
         }
     }
@@ -141,95 +232,76 @@ fn pack_panel<T: Scalar>(
     // run over the padded depth and the padded A/B cells contribute
     // `stale · x` terms to interior C elements otherwise.
     for pi in 0..klim {
-        panel[pi * wwg + wlim..pi * wwg + wwg].fill(T::ZERO);
+        panel[pi * wwg + wlim..pi * wwg + wwg].fill(<S::Acc as Scalar>::ZERO);
     }
-    panel[klim * wwg..rows * wwg].fill(T::ZERO);
+    panel[klim * wwg..rows * wwg].fill(<S::Acc as Scalar>::ZERO);
 }
 
-/// Parallel, layout-specialised version of [`pack_into`]: identical
-/// output, but the traversal is chosen from the source's storage order,
-/// offset arithmetic is hoisted out of the inner loops, zero-fill is
-/// restricted to the padding fringe, and contiguous destination blocks
-/// are distributed over threads.
-pub fn pack_into_par<T: Scalar>(
-    x: &Matrix<T>,
+/// Pack `op(x)` — `k × width`, depth first — into a zero-padded staging
+/// buffer in `spec`'s layout, widening each element into the
+/// accumulation type. Same output as [`pack_into`] on the widened
+/// matrix; the routine and every packed batch entry run this. The
+/// traversal follows the source strides, offset arithmetic is hoisted
+/// out of the inner loops, only the padding fringe is zero-filled, and
+/// contiguous destination blocks go to `shim::par` threads unless
+/// `serial`.
+///
+/// # Panics
+/// Panics if `buf` does not match `dims` or `op(x)` exceeds them.
+pub fn pack<S: StorageScalar>(
+    x: View<'_, S>,
     spec: PackSpec,
-    k: usize,
-    width: usize,
-    buf: &mut [T],
+    buf: &mut [S::Acc],
     dims: PackedDims,
+    serial: bool,
 ) {
     assert_eq!(buf.len(), dims.len(), "staging buffer size mismatch");
-    let (xr, xc) = x.dims_op(spec.trans);
-    assert_eq!(
-        (xr, xc),
-        (k, width),
-        "operand shape mismatch: op(X) is {xr}x{xc}, expected {k}x{width}"
+    // `op(x)[p][w]` lives at `p · sp + w · sw`.
+    let (k, width, sp, sw) = match spec.trans {
+        Trans::No => (x.rows, x.cols, x.rs, x.cs),
+        Trans::Yes => (x.cols, x.rows, x.cs, x.rs),
+    };
+    assert!(
+        k <= dims.k && width <= dims.width,
+        "operand shape mismatch: op(X) is {k}x{width}, padded to {}x{}",
+        dims.k,
+        dims.width
     );
-    let (sp, sw) = source_strides(x, spec.trans);
-    let src = x.as_slice();
+    let src = x.data;
     match spec.layout {
         // One K × Wwg column-block is one contiguous destination span.
-        BlockLayout::Cbl => {
-            clgemm_shim::par::par_chunks_mut(buf, dims.k * dims.wwg, |cb, block| {
-                let w0 = cb * dims.wwg;
-                let wlim = width.saturating_sub(w0).min(dims.wwg);
-                pack_panel(
-                    block,
-                    dims.wwg,
-                    dims.k,
-                    src,
-                    w0 * sw,
-                    sp,
-                    sw,
-                    k.min(dims.k),
-                    wlim,
-                );
-            });
-        }
+        BlockLayout::Cbl => for_chunks(buf, dims.k * dims.wwg, serial, |cb, block| {
+            let w0 = cb * dims.wwg;
+            let wlim = width.saturating_sub(w0).min(dims.wwg);
+            pack_panel(block, dims.wwg, dims.k, src, w0 * sw, sp, sw, k, wlim);
+        }),
         // One Kwg × W row-block is contiguous; its Kwg × Wwg sub-blocks
         // are packed panels.
-        BlockLayout::Rbl => {
-            clgemm_shim::par::par_chunks_mut(buf, dims.kwg * dims.width, |rb, block| {
-                let p0 = rb * dims.kwg;
-                let klim = k.saturating_sub(p0).min(dims.kwg);
-                for (cb, panel) in block.chunks_mut(dims.kwg * dims.wwg).enumerate() {
-                    let w0 = cb * dims.wwg;
-                    let wlim = width.saturating_sub(w0).min(dims.wwg);
-                    pack_panel(
-                        panel,
-                        dims.wwg,
-                        dims.kwg,
-                        src,
-                        p0 * sp + w0 * sw,
-                        sp,
-                        sw,
-                        klim,
-                        wlim,
-                    );
+        BlockLayout::Rbl => for_chunks(buf, dims.kwg * dims.width, serial, |rb, block| {
+            let p0 = rb * dims.kwg;
+            let klim = k.saturating_sub(p0).min(dims.kwg);
+            for (cb, panel) in block.chunks_mut(dims.kwg * dims.wwg).enumerate() {
+                let w0 = cb * dims.wwg;
+                let wlim = width.saturating_sub(w0).min(dims.wwg);
+                let base = p0 * sp + w0 * sw;
+                pack_panel(panel, dims.wwg, dims.kwg, src, base, sp, sw, klim, wlim);
+            }
+        }),
+        // Plain row-major: each depth row is contiguous; a strided source
+        // row is gathered with a hoisted stride.
+        BlockLayout::RowMajor => for_chunks(buf, dims.width, serial, |p, row| {
+            let (interior, fringe) = row.split_at_mut(if p < k { width } else { 0 });
+            if sw == 1 && p < k {
+                for (d, v) in interior.iter_mut().zip(&src[p * sp..][..width]) {
+                    *d = v.widen();
                 }
-            });
-        }
-        // Plain row-major: each depth row is contiguous. Threads take
-        // runs of rows; a transposed-source row is gathered with a
-        // hoisted stride instead of per-element index math.
-        BlockLayout::RowMajor => {
-            clgemm_shim::par::par_chunks_mut(buf, dims.width, |p, row| {
-                if p >= k {
-                    row.fill(T::ZERO);
-                    return;
+            } else {
+                for (w, d) in interior.iter_mut().enumerate() {
+                    *d = src[p * sp + w * sw].widen();
                 }
-                let row_base = p * sp;
-                if sw == 1 {
-                    row[..width].copy_from_slice(&src[row_base..][..width]);
-                } else {
-                    for (w, d) in row[..width].iter_mut().enumerate() {
-                        *d = src[row_base + w * sw];
-                    }
-                }
-                row[width..].fill(T::ZERO);
-            });
-        }
+            }
+            fringe.fill(<S::Acc as Scalar>::ZERO);
+        }),
     }
 }
 
@@ -293,188 +365,74 @@ pub fn stage_c<T: Scalar>(c: &Matrix<T>, mwg: usize, nwg: usize) -> Vec<T> {
     buf
 }
 
-/// [`stage_c`] into a caller-provided (reused) buffer, in parallel. The
-/// interior copy is storage-order-aware and cache-blocked; the zero-fill
-/// touches only the padding fringe.
-pub fn stage_c_into_par<T: Scalar>(c: &Matrix<T>, mwg: usize, nwg: usize, buf: &mut [T]) {
-    let (mp, np) = c_staging_dims(c.rows(), c.cols(), mwg, nwg);
+/// Row-tile height for the cache-blocked staged-C copies.
+const C_TILE: usize = 32;
+/// Column-tile width: bounds the staged-row working set while a
+/// column-major `C` is walked with unit stride.
+const C_JTILE: usize = 128;
+
+/// [`stage_c`] from a strided view into a caller-provided (reused)
+/// buffer, widening into the accumulation type; identical output. Row
+/// tiles of the destination are contiguous chunks, on `shim::par`
+/// threads unless `serial`; only the padding fringe is zero-filled.
+///
+/// # Panics
+/// Panics if `buf` does not match [`c_staging_dims`].
+pub fn stage<S: StorageScalar>(
+    c: View<'_, S>,
+    mwg: usize,
+    nwg: usize,
+    buf: &mut [S::Acc],
+    serial: bool,
+) {
+    let (m, n) = (c.rows, c.cols);
+    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
     assert_eq!(buf.len(), mp * np, "staged C buffer size mismatch");
-    let (m, n) = (c.rows(), c.cols());
-    // Row-tiles of the destination are contiguous chunks; each thread
-    // fills its tiles' interiors and fringes.
-    clgemm_shim::par::par_chunks_mut(buf, C_TILE * np, |t, rows| {
+    for_chunks(buf, C_TILE * np, serial, |t, rows| {
         let i0 = t * C_TILE;
-        let tile_rows = rows.len() / np.max(1);
-        let ilim = m.saturating_sub(i0).min(tile_rows);
+        let ilim = m.saturating_sub(i0).min(rows.len() / np);
         stage_tile(c, i0, ilim, rows, np);
         // Fringe: trailing columns of interior rows, then whole padding rows.
         for ti in 0..ilim {
-            rows[ti * np + n..(ti + 1) * np].fill(T::ZERO);
+            rows[ti * np + n..(ti + 1) * np].fill(<S::Acc as Scalar>::ZERO);
         }
-        rows[ilim * np..tile_rows * np].fill(T::ZERO);
+        rows[ilim * np..].fill(<S::Acc as Scalar>::ZERO);
     });
 }
 
-/// Row-tile height for the cache-blocked staged-C copies.
-const C_TILE: usize = 32;
-/// Column-tile width: bounds the staged-row working set while the
-/// column-major user matrix is walked with unit stride.
-const C_JTILE: usize = 128;
-
 /// Copy user rows `i0 .. i0+ilim` into `ilim` staged row-major rows of
-/// stride `np`. The loop nest follows the user matrix's storage order: a
-/// row-major source streams row by row; a column-major one keeps its
-/// unit-stride direction (`i`) innermost and relies on the small row
-/// tile staying cache-resident.
-fn stage_tile<T: Scalar>(c: &Matrix<T>, i0: usize, ilim: usize, rows: &mut [T], np: usize) {
-    if ilim == 0 {
-        // All-padding tile: nothing to copy, and the source slicing
-        // below would index past the user matrix.
-        return;
-    }
-    let n = c.cols();
-    match c.order() {
-        crate::StorageOrder::RowMajor => {
-            let ld = c.ld();
-            let src = c.as_slice();
-            for ti in 0..ilim {
-                rows[ti * np..ti * np + n].copy_from_slice(&src[(i0 + ti) * ld..][..n]);
+/// stride `np`. The loop nest follows the source strides: a row-major
+/// source streams row by row; any other keeps its column walk innermost
+/// per staged row and relies on the small row tile staying
+/// cache-resident.
+fn stage_tile<S: StorageScalar>(
+    c: View<'_, S>,
+    i0: usize,
+    ilim: usize,
+    rows: &mut [S::Acc],
+    np: usize,
+) {
+    let n = c.cols;
+    if c.cs == 1 {
+        for ti in 0..ilim {
+            let src = &c.data[(i0 + ti) * c.rs..][..n];
+            for (d, v) in rows[ti * np..][..n].iter_mut().zip(src) {
+                *d = v.widen();
             }
         }
-        crate::StorageOrder::ColMajor => {
-            let ld = c.ld();
-            let src = c.as_slice();
-            // Unit-stride writes along each staged row; the strided
-            // column reads stay cache-resident because only C_JTILE
-            // distinct source columns are live per pass.
-            for j0 in (0..n).step_by(C_JTILE) {
-                let jlim = (j0 + C_JTILE).min(n);
-                for ti in 0..ilim {
-                    let row = &mut rows[ti * np + j0..ti * np + jlim];
-                    for (jj, cell) in row.iter_mut().enumerate() {
-                        *cell = src[i0 + ti + (j0 + jj) * ld];
-                    }
+    } else {
+        // Unit-stride writes along each staged row; the strided column
+        // reads stay cache-resident because only C_JTILE distinct source
+        // columns are live per pass.
+        for j0 in (0..n).step_by(C_JTILE) {
+            let jlim = (j0 + C_JTILE).min(n);
+            for ti in 0..ilim {
+                let base = (i0 + ti) * c.rs;
+                let row = &mut rows[ti * np + j0..ti * np + jlim];
+                for (jj, cell) in row.iter_mut().enumerate() {
+                    *cell = c.data[base + (j0 + jj) * c.cs].widen();
                 }
             }
-        }
-    }
-}
-
-/// [`stage_c`] into a caller-provided (reused) buffer, serially.
-///
-/// Identical output to [`stage_c_into_par`]. Below the routine layer's
-/// serial-pack threshold the fork/join cost of the parallel stager
-/// exceeds the copy itself, so small problems route through this
-/// single-pass version instead.
-pub fn stage_c_into<T: Scalar>(c: &Matrix<T>, mwg: usize, nwg: usize, buf: &mut [T]) {
-    let (m, n) = (c.rows(), c.cols());
-    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
-    assert_eq!(buf.len(), mp * np, "staged C buffer size mismatch");
-    for i in 0..m {
-        let row = &mut buf[i * np..(i + 1) * np];
-        for (j, cell) in row[..n].iter_mut().enumerate() {
-            *cell = c.at(i, j);
-        }
-        row[n..].fill(T::ZERO);
-    }
-    buf[m * np..].fill(T::ZERO);
-}
-
-/// Pack `op(X)` from a raw column-major slice entry into a staging
-/// buffer, widening each element into the accumulation type.
-///
-/// This is the batched path's convert-on-pack: a strided-batched call
-/// hands slab entries (`rows × cols`, leading dimension `ld`) rather
-/// than [`Matrix`] values, and `f16`/`bf16` storage widens to `f32`
-/// here so the microkernel runs its usual `f32`/`f64` FMA chain.
-/// Widening is exact, so the packed values equal what packing an
-/// already-widened matrix would produce — the bit-exactness contract
-/// of the property suite. The packing itself is serial: batched calls
-/// parallelise across entries, not within one pack.
-///
-/// # Panics
-/// Panics if `op(X)`'s dimensions don't match `(k, width)` or the
-/// buffer doesn't match `dims`.
-#[allow(clippy::too_many_arguments)] // mirrors pack_into plus the slice geometry
-pub fn pack_slice_widen<S: StorageScalar>(
-    src: &[S],
-    rows: usize,
-    cols: usize,
-    ld: usize,
-    spec: PackSpec,
-    k: usize,
-    width: usize,
-    buf: &mut [S::Acc],
-    dims: PackedDims,
-) {
-    assert_eq!(buf.len(), dims.len(), "staging buffer size mismatch");
-    let (xr, xc) = match spec.trans {
-        Trans::No => (rows, cols),
-        Trans::Yes => (cols, rows),
-    };
-    assert_eq!(
-        (xr, xc),
-        (k, width),
-        "operand shape mismatch: op(X) is {xr}x{xc}, expected {k}x{width}"
-    );
-    for p in 0..dims.k {
-        for w in 0..dims.width {
-            let v = if p < k && w < width {
-                let (i, j) = match spec.trans {
-                    Trans::No => (p, w),
-                    Trans::Yes => (w, p),
-                };
-                src[j * ld + i].widen()
-            } else {
-                <S::Acc as Scalar>::ZERO
-            };
-            buf[spec.layout.offset(p, w, dims)] = v;
-        }
-    }
-}
-
-/// Stage one column-major `C` slab entry into a padded row-major buffer,
-/// widening into the accumulation type (the slice/batched counterpart
-/// of [`stage_c_into`]).
-pub fn stage_slice_widen<S: StorageScalar>(
-    src: &[S],
-    m: usize,
-    n: usize,
-    ld: usize,
-    mwg: usize,
-    nwg: usize,
-    buf: &mut [S::Acc],
-) {
-    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
-    assert_eq!(buf.len(), mp * np, "staged C buffer size mismatch");
-    for i in 0..m {
-        let row = &mut buf[i * np..(i + 1) * np];
-        for (j, cell) in row[..n].iter_mut().enumerate() {
-            *cell = src[j * ld + i].widen();
-        }
-        row[n..].fill(<S::Acc as Scalar>::ZERO);
-    }
-    buf[m * np..].fill(<S::Acc as Scalar>::ZERO);
-}
-
-/// Merge a padded row-major staged result back into a column-major `C`
-/// slab entry, narrowing each element with round-to-nearest-even — the
-/// single narrowing step of the mixed-precision contract.
-pub fn merge_slice_narrow<S: StorageScalar>(
-    staged: &[S::Acc],
-    mwg: usize,
-    nwg: usize,
-    dst: &mut [S],
-    m: usize,
-    n: usize,
-    ld: usize,
-) {
-    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
-    assert_eq!(staged.len(), mp * np, "staged C buffer size mismatch");
-    for j in 0..n {
-        let col = &mut dst[j * ld..j * ld + m];
-        for (i, cell) in col.iter_mut().enumerate() {
-            *cell = S::narrow(staged[i * np + j]);
         }
     }
 }
@@ -491,42 +449,52 @@ pub fn merge_c<T: Scalar>(staged: &[T], mwg: usize, nwg: usize, c: &mut Matrix<T
     }
 }
 
-/// Parallel, storage-order-aware version of [`merge_c`]: identical
-/// result. Work splits over the *user* matrix's major axis so each
-/// thread writes a disjoint contiguous region of `c`.
-pub fn merge_c_par<T: Scalar>(staged: &[T], mwg: usize, nwg: usize, c: &mut Matrix<T>) {
-    let (m, n) = (c.rows(), c.cols());
+/// [`merge_c`] into a writable view, narrowing each element with
+/// round-to-nearest-even — the single narrowing step of the
+/// mixed-precision contract; identical result. Work splits over the
+/// destination's contiguous rows or column tiles, on `shim::par` threads
+/// unless `serial`, so each thread writes a disjoint region; gaps
+/// between rows or columns stay untouched.
+///
+/// # Panics
+/// Panics if `staged` does not match [`c_staging_dims`].
+pub fn merge<S: StorageScalar>(
+    staged: &[S::Acc],
+    mwg: usize,
+    nwg: usize,
+    c: ViewMut<'_, S>,
+    serial: bool,
+) {
+    let (m, n) = (c.rows, c.cols);
     let (mp, np) = c_staging_dims(m, n, mwg, nwg);
     assert_eq!(staged.len(), mp * np, "staged C buffer size mismatch");
-    let ld = c.ld();
-    match c.order() {
-        crate::StorageOrder::RowMajor => {
-            // User rows are contiguous (stride ld ≥ n): one row per chunk.
-            clgemm_shim::par::par_chunks_mut(c.as_mut_slice(), ld, |i, row| {
-                if i < m {
-                    row[..n].copy_from_slice(&staged[i * np..i * np + n]);
+    if c.cs == 1 && c.rs >= n {
+        // Rows are contiguous: one row per chunk.
+        for_chunks(c.data, c.rs, serial, |i, row| {
+            if i < m {
+                for (d, v) in row[..n].iter_mut().zip(&staged[i * np..][..n]) {
+                    *d = S::narrow(*v);
                 }
-            });
-        }
-        crate::StorageOrder::ColMajor => {
-            // User columns are contiguous: column-tiles per chunk, with
-            // the staged source walked in row-tiles so its strided reads
-            // stay cache-resident.
-            clgemm_shim::par::par_chunks_mut(c.as_mut_slice(), C_JTILE * ld, |t, cols| {
-                let j0 = t * C_JTILE;
-                let jlim = n.saturating_sub(j0).min(cols.len() / ld.max(1));
-                for i0 in (0..m).step_by(C_TILE) {
-                    let ilim = (i0 + C_TILE).min(m);
-                    for tj in 0..jlim {
-                        let src_col = j0 + tj;
-                        let col = &mut cols[tj * ld..tj * ld + m];
-                        for (i, cell) in col[i0..ilim].iter_mut().enumerate() {
-                            *cell = staged[(i0 + i) * np + src_col];
-                        }
+            }
+        });
+    } else {
+        // Columns are contiguous: column tiles per chunk, with the staged
+        // source walked in row tiles so its strided reads stay
+        // cache-resident.
+        let ld = c.cs;
+        for_chunks(c.data, C_JTILE * ld, serial, |t, cols| {
+            let j0 = t * C_JTILE;
+            let jlim = n.saturating_sub(j0).min(C_JTILE);
+            for i0 in (0..m).step_by(C_TILE) {
+                let ilim = (i0 + C_TILE).min(m);
+                for tj in 0..jlim {
+                    let col = &mut cols[tj * ld + i0..tj * ld + ilim];
+                    for (i, cell) in col.iter_mut().enumerate() {
+                        *cell = S::narrow(staged[(i0 + i) * np + j0 + tj]);
                     }
                 }
-            });
-        }
+            }
+        });
     }
 }
 
@@ -617,12 +585,9 @@ mod tests {
         for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
             for trans in [Trans::No, Trans::Yes] {
                 for layout in BlockLayout::ALL {
-                    // Odd source shape against blocking 4×3, with a padded ld.
+                    // Odd source shape against blocking 4×3.
                     let x = Matrix::<f64>::test_pattern(13, 11, order, 5);
-                    let (k, width) = match trans {
-                        Trans::No => (13, 11),
-                        Trans::Yes => (11, 13),
-                    };
+                    let (k, width) = x.dims_op(trans);
                     let spec = PackSpec {
                         trans,
                         layout,
@@ -633,7 +598,7 @@ mod tests {
                     // Seed the reused buffer with garbage to prove the
                     // fringe is re-zeroed.
                     let mut buf = vec![f64::NAN; dims.len()];
-                    pack_into_par(&x, spec, k, width, &mut buf, dims);
+                    pack(x.view(), spec, &mut buf, dims, false);
                     assert_eq!(buf, oracle, "{order:?} {trans:?} {layout}");
                 }
             }
@@ -646,7 +611,7 @@ mod tests {
             let c = Matrix::<f32>::test_pattern(37, 41, order, 9);
             let oracle = stage_c(&c, 16, 16);
             let mut buf = vec![f32::INFINITY; oracle.len()];
-            stage_c_into_par(&c, 16, 16, &mut buf);
+            stage(c.view(), 16, 16, &mut buf, false);
             assert_eq!(buf, oracle, "{order:?}");
         }
     }
@@ -659,8 +624,22 @@ mod tests {
             let c = Matrix::<f64>::test_pattern(5, 7, order, 4);
             let oracle = stage_c(&c, 128, 16);
             let mut buf = vec![f64::NAN; oracle.len()];
-            stage_c_into_par(&c, 128, 16, &mut buf);
+            stage(c.view(), 128, 16, &mut buf, false);
             assert_eq!(buf, oracle, "{order:?}");
+        }
+    }
+
+    #[test]
+    fn stage_c_into_matches_parallel_stager() {
+        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
+            let c = Matrix::<f32>::test_pattern(37, 41, order, 9);
+            let oracle = stage_c(&c, 16, 16);
+            let mut serial = vec![f32::NAN; oracle.len()];
+            let mut parallel = serial.clone();
+            stage(c.view(), 16, 16, &mut serial, true);
+            stage(c.view(), 16, 16, &mut parallel, false);
+            assert_eq!(serial, oracle, "{order:?}");
+            assert_eq!(serial, parallel, "{order:?}");
         }
     }
 
@@ -672,7 +651,7 @@ mod tests {
             let mut a = Matrix::<f64>::zeros(37, 29, order);
             let mut b = Matrix::<f64>::zeros(37, 29, order);
             merge_c(&staged, 8, 8, &mut a);
-            merge_c_par(&staged, 8, 8, &mut b);
+            merge(&staged, 8, 8, b.view_mut(), false);
             assert_eq!(a, b, "{order:?}");
             assert_eq!(a, src);
         }
@@ -683,7 +662,7 @@ mod tests {
         let src = Matrix::<f64>::test_pattern(10, 6, StorageOrder::ColMajor, 1);
         let staged = stage_c(&src, 4, 4);
         let mut out = Matrix::<f64>::zeros_with_ld(10, 6, 17, StorageOrder::ColMajor);
-        merge_c_par(&staged, 4, 4, &mut out);
+        merge(&staged, 4, 4, out.view_mut(), false);
         for j in 0..6 {
             for i in 0..10 {
                 assert_eq!(out.at(i, j), src.at(i, j));
@@ -714,17 +693,6 @@ mod tests {
         assert_eq!(pack_mem_ops(5, 5, 4, 4), 25 + 64);
     }
 
-    #[test]
-    fn stage_c_into_matches_parallel_stager() {
-        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
-            let c = Matrix::<f32>::test_pattern(37, 41, order, 9);
-            let oracle = stage_c(&c, 16, 16);
-            let mut buf = vec![f32::NAN; oracle.len()];
-            stage_c_into(&c, 16, 16, &mut buf);
-            assert_eq!(buf, oracle, "{order:?}");
-        }
-    }
-
     /// A column-major slab entry plus an equal-valued [`Matrix`], with a
     /// padded leading dimension so the stride handling is exercised.
     fn slice_fixture(rows: usize, cols: usize, ld: usize, seed: u64) -> (Vec<f64>, Matrix<f64>) {
@@ -743,10 +711,7 @@ mod tests {
         for trans in [Trans::No, Trans::Yes] {
             for layout in BlockLayout::ALL {
                 let (src, m) = slice_fixture(13, 11, 19, 5);
-                let (k, width) = match trans {
-                    Trans::No => (13, 11),
-                    Trans::Yes => (11, 13),
-                };
+                let (k, width) = m.dims_op(trans);
                 let spec = PackSpec {
                     trans,
                     layout,
@@ -755,7 +720,7 @@ mod tests {
                 };
                 let (oracle, dims) = pack_operand(&m, spec, k, width);
                 let mut buf = vec![f64::NAN; dims.len()];
-                pack_slice_widen(&src, 13, 11, 19, spec, k, width, &mut buf, dims);
+                pack(View::new(&src, 13, 11, 1, 19), spec, &mut buf, dims, true);
                 assert_eq!(buf, oracle, "{trans:?} {layout}");
             }
         }
@@ -786,7 +751,13 @@ mod tests {
         };
         let (oracle, dims) = pack_operand(&wide, spec, rows, cols);
         let mut buf = vec![f32::NAN; dims.len()];
-        pack_slice_widen(&src, rows, cols, ld, spec, rows, cols, &mut buf, dims);
+        pack(
+            View::new(&src, rows, cols, 1, ld),
+            spec,
+            &mut buf,
+            dims,
+            true,
+        );
         assert_eq!(buf, oracle);
     }
 
@@ -795,7 +766,7 @@ mod tests {
         let (src, m) = slice_fixture(37, 29, 41, 3);
         let oracle = stage_c(&m, 16, 8);
         let mut buf = vec![f64::NAN; oracle.len()];
-        stage_slice_widen(&src, 37, 29, 41, 16, 8, &mut buf);
+        stage(View::new(&src, 37, 29, 1, 41), 16, 8, &mut buf, true);
         assert_eq!(buf, oracle);
     }
 
@@ -804,7 +775,7 @@ mod tests {
         let (src, m) = slice_fixture(10, 6, 17, 1);
         let staged = stage_c(&m, 4, 4);
         let mut out = vec![f64::NAN; src.len()];
-        merge_slice_narrow::<f64>(&staged, 4, 4, &mut out, 10, 6, 17);
+        merge(&staged, 4, 4, ViewMut::new(&mut out, 10, 6, 1, 17), true);
         for j in 0..6 {
             for i in 0..10 {
                 assert_eq!(out[j * 17 + i], m.at(i, j));
@@ -814,5 +785,117 @@ mod tests {
                 assert!(out[j * 17 + i].is_nan(), "ld gap overwritten at ({i},{j})");
             }
         }
+    }
+
+    /// A `rows × cols` slab of `S` in `order`, its leading dimension
+    /// `pad` past the minor extent and its length exactly the last
+    /// element's offset plus one (as a batch slab entry's), NaN in every
+    /// gap so a copier that reads one fails; with the view strides and
+    /// the widened matrix holding the same values, which the oracles take.
+    fn fixture<S: StorageScalar>(
+        rows: usize,
+        cols: usize,
+        pad: usize,
+        order: StorageOrder,
+        seed: u64,
+    ) -> (Vec<S>, (usize, usize), Matrix<S::Acc>) {
+        let pattern = Matrix::<S::Acc>::test_pattern(rows, cols, order, seed);
+        let wide = Matrix::from_fn(rows, cols, order, |i, j| {
+            S::narrow(pattern.at(i, j)).widen()
+        });
+        let (rs, cs) = match order {
+            StorageOrder::ColMajor => (1, rows + pad),
+            StorageOrder::RowMajor => (cols + pad, 1),
+        };
+        let mut slab = vec![S::from_f64(f64::NAN); (rows - 1) * rs + (cols - 1) * cs + 1];
+        for j in 0..cols {
+            for i in 0..rows {
+                slab[i * rs + j * cs] = S::narrow(wide.at(i, j));
+            }
+        }
+        (slab, (rs, cs), wide)
+    }
+
+    /// Every fast copier against its oracle on the widened matrix, for one
+    /// storage type: row- and column-major sources × serial and parallel
+    /// × each geometry, packing under both transposes and every layout.
+    /// Destination buffers start as NaN, so a fringe or interior cell the
+    /// copier skips fails the exact comparison.
+    fn copier_table<S: StorageScalar>() {
+        let nan = <S::Acc as Scalar>::from_f64(f64::NAN);
+        // (rows, cols, ld padding, mwg = wwg, nwg, kwg)
+        let geometries = [
+            (13, 11, 6, 4, 4, 3),   // odd shape against 4×3 blocking
+            (37, 41, 0, 16, 16, 8), // several row tiles, tight ld
+            (37, 29, 4, 8, 8, 8),   // padded ld
+            (5, 7, 3, 128, 16, 4),  // mwg far above m: all-padding row tiles
+            (10, 6, 7, 4, 4, 4),    // ld 17 against 10 rows
+            (3, 130, 2, 4, 8, 4),   // a second column tile, short last column
+        ];
+        for (rows, cols, pad, mwg, nwg, kwg) in geometries {
+            for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
+                let (slab, (rs, cs), wide) = fixture::<S>(rows, cols, pad, order, 5);
+                let x = View::new(&slab, rows, cols, rs, cs);
+                for serial in [true, false] {
+                    let case = format!("{} {rows}x{cols}+{pad} {order:?} serial={serial}", S::NAME);
+                    for trans in [Trans::No, Trans::Yes] {
+                        for layout in BlockLayout::ALL {
+                            let spec = PackSpec {
+                                trans,
+                                layout,
+                                wwg: mwg,
+                                kwg,
+                            };
+                            let (k, width) = wide.dims_op(trans);
+                            let (oracle, dims) = pack_operand(&wide, spec, k, width);
+                            let mut buf = vec![nan; dims.len()];
+                            pack(x, spec, &mut buf, dims, serial);
+                            assert_eq!(buf, oracle, "pack {case} {trans:?} {layout}");
+                        }
+                    }
+
+                    let oracle = stage_c(&wide, mwg, nwg);
+                    let mut buf = vec![nan; oracle.len()];
+                    stage(x, mwg, nwg, &mut buf, serial);
+                    assert_eq!(buf, oracle, "stage {case}");
+
+                    let (_, _, other) = fixture::<S>(rows, cols, pad, order, 9);
+                    let staged = stage_c(&other, mwg, nwg);
+                    let mut oracle = wide.clone();
+                    merge_c(&staged, mwg, nwg, &mut oracle);
+                    let mut out = slab.clone();
+                    merge(
+                        &staged,
+                        mwg,
+                        nwg,
+                        ViewMut::new(&mut out, rows, cols, rs, cs),
+                        serial,
+                    );
+                    for (idx, v) in out.iter().enumerate() {
+                        let (i, j) = if rs == 1 {
+                            (idx % cs, idx / cs)
+                        } else {
+                            (idx / rs, idx % rs)
+                        };
+                        if i < rows && j < cols {
+                            assert_eq!(v.widen(), oracle.at(i, j), "merge {case} ({i},{j})");
+                        } else {
+                            assert!(
+                                !v.widen().is_finite(),
+                                "merge {case}: ld gap {idx} overwritten"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_copiers_match_the_oracles_for_every_storage_type() {
+        copier_table::<f32>();
+        copier_table::<f64>();
+        copier_table::<crate::scalar::F16>();
+        copier_table::<crate::scalar::Bf16>();
     }
 }

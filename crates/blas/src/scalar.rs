@@ -156,44 +156,29 @@ pub trait StorageScalar:
     fn narrow(acc: Self::Acc) -> Self;
     /// Test-data constructor (round-trips through `narrow`).
     fn from_f64(v: f64) -> Self {
-        Self::narrow(Self::Acc::from_f64(v))
+        Self::narrow(<Self::Acc as Scalar>::from_f64(v))
     }
     /// Widening conversion to `f64` for diagnostics.
     fn to_f64(self) -> f64 {
-        self.widen().to_f64()
+        Scalar::to_f64(self.widen())
     }
 }
 
-impl StorageScalar for f32 {
-    type Acc = f32;
-    const NAME: &'static str = "f32";
+/// Every accumulation type is also its own storage type, so `f32`/`f64`
+/// matrices and slabs share the widening copiers without a conversion.
+impl<T: Scalar> StorageScalar for T {
+    type Acc = T;
+    const NAME: &'static str = if T::BYTES == 8 { "f64" } else { "f32" };
     const WIDENS: bool = false;
-    const STORAGE_BYTES: usize = 4;
+    const STORAGE_BYTES: usize = T::BYTES;
 
     #[inline]
-    fn widen(self) -> f32 {
+    fn widen(self) -> T {
         self
     }
 
     #[inline]
-    fn narrow(acc: f32) -> f32 {
-        acc
-    }
-}
-
-impl StorageScalar for f64 {
-    type Acc = f64;
-    const NAME: &'static str = "f64";
-    const WIDENS: bool = false;
-    const STORAGE_BYTES: usize = 8;
-
-    #[inline]
-    fn widen(self) -> f64 {
-        self
-    }
-
-    #[inline]
-    fn narrow(acc: f64) -> f64 {
+    fn narrow(acc: T) -> T {
         acc
     }
 }

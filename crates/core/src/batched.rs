@@ -33,11 +33,10 @@
 //! types.
 
 use crate::profile::launch_profile;
-use crate::routine::{PackDecision, TunedGemm, SERIAL_PACK_MAX};
-use crate::tile::{TileDecision, TileSelector};
-use clgemm_blas::layout::{round_up, PackedDims};
-use clgemm_blas::pack::{merge_slice_narrow, pack_slice_widen, stage_slice_widen, PackSpec};
-use clgemm_blas::scalar::{Scalar, StorageScalar};
+use crate::routine::{run_packed, scale_c, PackDecision, TunedGemm};
+use crate::tile::TileDecision;
+use clgemm_blas::pack::{pack, View, ViewMut};
+use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 use clgemm_blas::workspace::{BatchWorkspace, WorkspaceScalar};
 use clgemm_blas::{BatchError, GemmBatch, Trans};
 use clgemm_device::estimate_batch_seconds;
@@ -186,207 +185,108 @@ impl TunedGemm {
         reg.histogram("routine_batch_size", 1.0)
             .observe(batch as u64);
 
-        let small = m.max(n).max(k) <= DIRECT_BATCH_MAX;
+        let (path, total) = self.route_batch(S::Acc::PRECISION, desc, opts);
+        let mut run = BatchRun::empty(path, batch);
+        if batch == 0 || m == 0 || n == 0 {
+            return Ok(run);
+        }
+        if k == 0 || alpha == S::Acc::ZERO {
+            for centry in split_c_entries(c, desc) {
+                scale_c(alpha, beta, ViewMut::new(centry, m, n, 1, desc.ldc));
+            }
+            return Ok(run);
+        }
+
+        reg.counter_labeled("routine_batch_path_total", &[("path", path.tag())])
+            .inc();
+        run.workers = worker_count(batch);
+        run.total = total;
+        run.gflops = if total > 0.0 {
+            desc.flops() / total / 1e9
+        } else {
+            0.0
+        };
+        run.widened = S::WIDENS;
+        let a_of = |i: usize| &a[desc.a_offset(i)..][..desc.a_extent()];
+        let b_of = |i: usize| &b[desc.b_offset(i)..][..desc.b_extent()];
+        let mut entries = split_c_entries(c, desc);
+        match path {
+            BatchPath::Direct => {
+                let mut states = vec![(); run.workers];
+                par_items_mut(&mut entries, &mut states, |i, centry, ()| {
+                    direct_entry(desc, alpha, a_of(i), b_of(i), beta, centry);
+                });
+            }
+            BatchPath::Packed => {
+                // Per-entry copies are serial: parallelism comes from the
+                // batch dimension.
+                let mut plan = self.plan(S::Acc::PREC_TAG == 'D', desc.ty, m, n, k);
+                plan.pack.serial = true;
+                let ((ar, ac), (br, bc)) = (desc.a_dims(), desc.b_dims());
+                let a_view = |i: usize| View::new(a_of(i), ar, ac, 1, desc.lda);
+                let b_view = |i: usize| View::new(b_of(i), br, bc, 1, desc.ldb);
+                // Shared operands are packed exactly once, into the shared
+                // pool; per-entry operands pack inside the fan-out, into
+                // worker pools.
+                let (shared, worker_ws) = ws.parts(run.workers);
+                let (sa, sb, _) = shared.pool::<S::Acc>().buffers(
+                    if desc.shared_a() { plan.da.len() } else { 0 },
+                    if desc.shared_b() { plan.db.len() } else { 0 },
+                    0,
+                );
+                if desc.shared_a() {
+                    pack(a_view(0), plan.spec_a, sa, plan.da, true);
+                }
+                if desc.shared_b() {
+                    pack(b_view(0), plan.spec_b, sb, plan.db, true);
+                }
+                let (sa, sb): (&[S::Acc], &[S::Acc]) = (sa, sb);
+                let (sa, sb) = (desc.shared_a().then_some(sa), desc.shared_b().then_some(sb));
+                par_items_mut(&mut entries, worker_ws, |i, centry, w| {
+                    let (a, b) = (a_view(i), b_view(i));
+                    let c = ViewMut::new(centry, m, n, 1, desc.ldc);
+                    run_packed(&plan, alpha, a, b, beta, c, sa, sb, w, false);
+                });
+                if S::WIDENS {
+                    // One widening pack per shared operand, one per entry
+                    // otherwise.
+                    let packs = |shared: bool| if shared { 1 } else { batch as u64 };
+                    Registry::global()
+                        .counter("routine_convert_on_pack_total")
+                        .add(packs(desc.shared_a()) + packs(desc.shared_b()));
+                }
+                run.tile = Some(plan.tile);
+                run.pack = Some(plan.pack);
+            }
+        }
+        Ok(run)
+    }
+
+    /// The path a batched call takes — `opts.force_path`, else the
+    /// copy-free direct kernel when every edge is at most
+    /// [`DIRECT_BATCH_MAX`] — and its modelled seconds. Execution and the
+    /// serving layer's placement costs both read it. Both models depend
+    /// only on the accumulation precision, so costing `f16`/`bf16`
+    /// storage at `f32` is exact.
+    #[must_use]
+    pub fn route_batch(
+        &self,
+        precision: Precision,
+        desc: &GemmBatch,
+        opts: &BatchOptions,
+    ) -> (BatchPath, f64) {
+        let small = desc.m.max(desc.n).max(desc.k) <= DIRECT_BATCH_MAX;
         let path = opts.force_path.unwrap_or(if small {
             BatchPath::Direct
         } else {
             BatchPath::Packed
         });
-
-        if batch == 0 || m == 0 || n == 0 {
-            return Ok(BatchRun::empty(path, batch));
-        }
-        if k == 0 || alpha == S::Acc::ZERO {
-            // The product term is an empty (or zeroed) sum: C ← β·C per
-            // entry, with the kernel's own merge arithmetic so the result
-            // is bit-identical to running the full path.
-            for i in 0..batch {
-                let co = desc.c_offset(i);
-                for j in 0..n {
-                    let col = &mut c[co + j * desc.ldc..co + j * desc.ldc + m];
-                    for cell in col.iter_mut() {
-                        let old = cell.widen();
-                        *cell = S::narrow(alpha.mul_add(S::Acc::ZERO, beta * old));
-                    }
-                }
-            }
-            return Ok(BatchRun::empty(path, batch));
-        }
-
-        reg.counter_labeled("routine_batch_path_total", &[("path", path.tag())])
-            .inc();
-        let workers = worker_count(batch);
-        let mut entries = split_c_entries(c, desc);
-        let run = match path {
-            BatchPath::Direct => {
-                let mut states = vec![(); workers];
-                par_items_mut(&mut entries, &mut states, |i, centry, ()| {
-                    let ae = &a[desc.a_offset(i)..desc.a_offset(i) + desc.a_extent()];
-                    let be = &b[desc.b_offset(i)..desc.b_offset(i) + desc.b_extent()];
-                    direct_entry(desc, alpha, ae, be, beta, centry);
-                });
-                let mut run = BatchRun::empty(path, batch);
-                run.workers = workers;
-                run.total = self.predict_batch_direct::<S>(desc);
-                run.widened = S::WIDENS;
-                run
-            }
-            BatchPath::Packed => self.packed_batch(desc, alpha, a, b, beta, &mut entries, ws),
+        let seconds = match (path, precision) {
+            (BatchPath::Direct, Precision::F64) => self.predict_batch_direct::<f64>(desc),
+            (BatchPath::Direct, Precision::F32) => self.predict_batch_direct::<f32>(desc),
+            (BatchPath::Packed, _) => self.predict_batch(precision == Precision::F64, desc),
         };
-        Ok(BatchRun {
-            gflops: if run.total > 0.0 {
-                desc.flops() / run.total / 1e9
-            } else {
-                0.0
-            },
-            ..run
-        })
-    }
-
-    /// The packed arm: shared operands packed once up front, per-entry
-    /// pack/stage/kernel/merge fanned out over per-worker workspaces.
-    #[allow(clippy::too_many_arguments)]
-    fn packed_batch<S>(
-        &self,
-        desc: &GemmBatch,
-        alpha: S::Acc,
-        a: &[S],
-        b: &[S],
-        beta: S::Acc,
-        entries: &mut [&mut [S]],
-        ws: &mut BatchWorkspace,
-    ) -> BatchRun
-    where
-        S: StorageScalar,
-        S::Acc: WorkspaceScalar,
-    {
-        let (batch, m, n, k) = (desc.batch, desc.m, desc.n, desc.k);
-        let p = *self.params(S::Acc::PRECISION);
-        let kp = round_up(k, p.k_multiple());
-        let spec_a = PackSpec {
-            trans: desc.ty.ta.flipped(),
-            layout: p.layout_a,
-            wwg: p.mwg,
-            kwg: p.kwg,
-        };
-        let spec_b = PackSpec {
-            trans: desc.ty.tb,
-            layout: p.layout_b,
-            wwg: p.nwg,
-            kwg: p.kwg,
-        };
-        let da = PackedDims::new(kp, round_up(m, p.mwg), p.mwg, p.kwg)
-            .expect("padded dims divide the blocking");
-        let db = PackedDims::new(kp, round_up(n, p.nwg), p.nwg, p.kwg)
-            .expect("padded dims divide the blocking");
-        let (mp, np) = (da.width, db.width);
-        let decision = TileSelector::host().select(S::Acc::PRECISION, (p.mwi(), p.nwi()), mp, np);
-        let (adims, bdims) = (desc.a_dims(), desc.b_dims());
-
-        let convert = if S::WIDENS {
-            Some(Registry::global().counter("routine_convert_on_pack_total"))
-        } else {
-            None
-        };
-        let count_convert = |packs: u64| {
-            if let Some(ctr) = &convert {
-                ctr.add(packs);
-            }
-        };
-
-        let workers = worker_count(batch);
-        let (shared, worker_ws) = ws.parts(workers);
-        // Shared operands are packed exactly once, into the shared pool;
-        // per-entry operands pack inside the fan-out, into worker pools.
-        let (sa, sb, _) = shared.pool::<S::Acc>().buffers(
-            if desc.shared_a() { da.len() } else { 0 },
-            if desc.shared_b() { db.len() } else { 0 },
-            0,
-        );
-        if desc.shared_a() {
-            pack_slice_widen(
-                &a[..desc.a_extent()],
-                adims.0,
-                adims.1,
-                desc.lda,
-                spec_a,
-                k,
-                m,
-                sa,
-                da,
-            );
-            count_convert(1);
-        }
-        if desc.shared_b() {
-            pack_slice_widen(
-                &b[..desc.b_extent()],
-                bdims.0,
-                bdims.1,
-                desc.ldb,
-                spec_b,
-                k,
-                n,
-                sb,
-                db,
-            );
-            count_convert(1);
-        }
-        let (sa, sb): (&[S::Acc], &[S::Acc]) = (sa, sb);
-
-        par_items_mut(entries, worker_ws, |i, centry, w| {
-            let (pa, pb, staged) = w.pool::<S::Acc>().buffers(
-                if desc.shared_a() { 0 } else { da.len() },
-                if desc.shared_b() { 0 } else { db.len() },
-                mp * np,
-            );
-            let pa: &[S::Acc] = if desc.shared_a() {
-                sa
-            } else {
-                let ae = &a[desc.a_offset(i)..desc.a_offset(i) + desc.a_extent()];
-                pack_slice_widen(ae, adims.0, adims.1, desc.lda, spec_a, k, m, pa, da);
-                count_convert(1);
-                pa
-            };
-            let pb: &[S::Acc] = if desc.shared_b() {
-                sb
-            } else {
-                let be = &b[desc.b_offset(i)..desc.b_offset(i) + desc.b_extent()];
-                pack_slice_widen(be, bdims.0, bdims.1, desc.ldb, spec_b, k, n, pb, db);
-                count_convert(1);
-                pb
-            };
-            stage_slice_widen(centry, m, n, desc.ldc, p.mwg, p.nwg, staged);
-            crate::executor::run_native_fast(
-                mp,
-                np,
-                kp,
-                alpha,
-                pa,
-                da,
-                p.layout_a,
-                pb,
-                db,
-                p.layout_b,
-                beta,
-                staged,
-                decision.tile,
-            );
-            merge_slice_narrow(staged, p.mwg, p.nwg, centry, m, n, desc.ldc);
-        });
-
-        BatchRun {
-            path: BatchPath::Packed,
-            batch,
-            workers,
-            total: self.predict_batch(S::Acc::PREC_TAG == 'D', desc),
-            gflops: 0.0, // filled by the caller from `total`
-            tile: Some(decision),
-            pack: Some(PackDecision {
-                serial: true,
-                threshold: SERIAL_PACK_MAX,
-            }),
-            widened: S::WIDENS,
-        }
+        (path, seconds)
     }
 
     /// Modelled seconds for a batch through the packed path: per-entry
@@ -398,28 +298,17 @@ impl TunedGemm {
         if batch == 0 || m == 0 || n == 0 || k == 0 {
             return 0.0;
         }
-        let one = self.predict(double_precision, desc.ty, m, n, k);
-        let nb = batch as f64;
-        let pack_a = if desc.shared_a() {
-            one.pack_a
-        } else {
-            one.pack_a * nb
-        };
-        let pack_b = if desc.shared_b() {
-            one.pack_b
-        } else {
-            one.pack_b * nb
-        };
-        let precision = if double_precision {
-            clgemm_blas::scalar::Precision::F64
-        } else {
-            clgemm_blas::scalar::Precision::F32
-        };
-        let p = self.params(precision);
-        let kp = round_up(k, p.k_multiple());
-        let prof = launch_profile(p, self.device(), round_up(m, p.mwg), round_up(n, p.nwg), kp);
+        let plan = self.plan(double_precision, desc.ty, m, n, k);
+        let one = self.model(&plan);
+        // A shared operand is packed once, any other once per entry.
+        let packs = |shared: bool| if shared { 1.0 } else { batch as f64 };
+        let (mp, np, kp) = (plan.da.width, plan.db.width, plan.da.k);
+        let prof = launch_profile(&plan.p, self.device(), mp, np, kp);
         let kernel = estimate_batch_seconds(self.device(), &prof, batch).unwrap_or(f64::INFINITY);
-        pack_a + pack_b + one.stage_c * nb + kernel
+        one.pack_a * packs(desc.shared_a())
+            + one.pack_b * packs(desc.shared_b())
+            + one.stage_c * batch as f64
+            + kernel
     }
 
     /// Modelled seconds for a batch through the direct path: `batch`
@@ -575,6 +464,7 @@ fn direct_kernel<S: StorageScalar, const TA: bool, const TB: bool>(
 mod tests {
     use super::*;
     use crate::params::small_test_params;
+    use crate::routine::SERIAL_PACK_MAX;
     use clgemm_blas::matrix::{Matrix, StorageOrder};
     use clgemm_blas::scalar::{Precision, F16};
     use clgemm_blas::GemmType;
@@ -627,8 +517,8 @@ mod tests {
         fill(&mut b, 2);
         fill(&mut c, 3);
         let c0 = c.clone();
-        let alpha = S::Acc::from_f64(1.25);
-        let beta = S::Acc::from_f64(-0.5);
+        let alpha = <S::Acc as Scalar>::from_f64(1.25);
+        let beta = <S::Acc as Scalar>::from_f64(-0.5);
 
         let mut ws = BatchWorkspace::new();
         let run = tg

@@ -20,17 +20,14 @@
 //! * [`TunedGemm::kernel_gflops`] — bare-kernel performance without copy
 //!   overhead (the Fig. 7 quantity).
 
-use crate::codegen::generate;
 use crate::executor::{run_native, run_native_fast};
 use crate::params::KernelParams;
 use crate::profile::launch_profile;
 use crate::tile::{TileDecision, TileSelector};
-use clgemm_blas::layout::round_up;
+use clgemm_blas::layout::{round_up, PackedDims};
 use clgemm_blas::matrix::Matrix;
-use clgemm_blas::pack::{
-    merge_c, merge_c_par, pack_into, pack_into_par, stage_c_into, stage_c_into_par, PackSpec,
-};
-use clgemm_blas::scalar::{Precision, Scalar};
+use clgemm_blas::pack::{merge, merge_c, pack, pack_into, stage, stage_c, PackSpec, View, ViewMut};
+use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 use clgemm_blas::workspace::{Workspace, WorkspaceScalar};
 use clgemm_blas::{GemmType, Trans};
 use clgemm_device::{estimate, DeviceSpec};
@@ -70,10 +67,10 @@ impl RoutineMetrics {
     }
 }
 
-/// Padded problems whose every edge is at or below this route their
-/// packing, staging and merging through the serial copiers: below ~64³
-/// the scoped-thread fork/join of the parallel packers costs more than
-/// the `O(N²)` copies they split up.
+/// Padded problems whose every edge is at or below this run their
+/// packing, staging and merging serially: below ~64³ the scoped-thread
+/// fork/join of the parallel copies costs more than the `O(N²)` copies
+/// they split up.
 pub const SERIAL_PACK_MAX: usize = 64;
 
 /// How the fast path moved data: serially below [`SERIAL_PACK_MAX`],
@@ -185,9 +182,6 @@ impl TunedGemm {
         assert_eq!(sgemm.precision, Precision::F32, "sgemm params must be F32");
         dgemm.validate().expect("invalid DGEMM params");
         sgemm.validate().expect("invalid SGEMM params");
-        // Both must also generate (defence in depth; validate covers it).
-        generate(&dgemm).expect("DGEMM params must generate");
-        generate(&sgemm).expect("SGEMM params must generate");
         TunedGemm {
             device,
             dgemm,
@@ -224,13 +218,6 @@ impl TunedGemm {
         match precision {
             Precision::F64 => &self.dgemm,
             Precision::F32 => &self.sgemm,
-        }
-    }
-
-    fn params_for<T: Scalar>(&self) -> &KernelParams {
-        match T::PREC_TAG {
-            'D' => &self.dgemm,
-            _ => &self.sgemm,
         }
     }
 
@@ -289,137 +276,33 @@ impl TunedGemm {
         if m == 0 || n == 0 {
             return GemmRun::empty();
         }
-        if k == 0 {
-            // The product term is an empty sum, so C ← β·C. The update
-            // mirrors the kernel's merge arithmetic (`α·acc + β·old` with
-            // `acc = 0`) so the result — including NaN propagation from a
-            // non-finite α — is bit-identical to running the full path
-            // with an empty depth.
-            for j in 0..n {
-                for i in 0..m {
-                    let old = c.at(i, j);
-                    *c.at_mut(i, j) = alpha.mul_add(T::ZERO, beta * old);
-                }
-            }
+        // An empty product (k = 0) leaves C ← β·C. So does α = 0, which
+        // the fast engine short-circuits instead of packing both operands
+        // for nothing; the reference engine keeps the full pipeline as
+        // the oracle.
+        if k == 0 || (alpha == T::ZERO && opts.engine == HostEngine::Fast) {
+            scale_c(alpha, beta, c.view_mut());
             return GemmRun::empty();
         }
-        if alpha == T::ZERO && opts.engine == HostEngine::Fast {
-            // The product contributes nothing, so packing both operands
-            // and running the kernel would be pure waste — short-circuit
-            // to the β·C merge. The update mirrors the kernel's merge
-            // arithmetic (`α·acc + β·old`, here with a zero product) so
-            // the result matches the full pipeline bit for bit up to the
-            // sign of exact zeros; the reference engine keeps the full
-            // pipeline as the oracle.
-            for j in 0..n {
-                for i in 0..m {
-                    let old = c.at(i, j);
-                    *c.at_mut(i, j) = alpha.mul_add(T::ZERO, beta * old);
-                }
-            }
-            return GemmRun::empty();
-        }
-        let p = *self.params_for::<T>();
-
-        // --- pack operands -------------------------------------------------
-        // The kernel consumes op(A) depth-first: packed A[p][i] = op(A)[i][p],
-        // so the pack transpose is the *flip* of the caller's op for A and
-        // the op itself for B.
-        // Layout blocks are Kwg deep, but the depth is padded to the
-        // algorithm's K granularity (2·Kwg for DB).
-        let kp = round_up(k, p.k_multiple());
-        let spec_a = PackSpec {
-            trans: ty.ta.flipped(),
-            layout: p.layout_a,
-            wwg: p.mwg,
-            kwg: p.kwg,
-        };
-        let spec_b = PackSpec {
-            trans: ty.tb,
-            layout: p.layout_b,
-            wwg: p.nwg,
-            kwg: p.kwg,
-        };
-        let da = clgemm_blas::layout::PackedDims::new(kp, round_up(m, p.mwg), p.mwg, p.kwg)
-            .expect("padded dims divide the blocking");
-        let db = clgemm_blas::layout::PackedDims::new(kp, round_up(n, p.nwg), p.nwg, p.kwg)
-            .expect("padded dims divide the blocking");
-        let (mp, np) = (da.width, db.width);
-
-        let mut pack_decision = None;
-        let decision = match opts.engine {
+        let plan = self.plan(T::PREC_TAG == 'D', ty, m, n, k);
+        let mut run = self.model(&plan);
+        match opts.engine {
             HostEngine::Fast => {
-                // Explicit, reported tile selection — the old code
-                // clamped the tuned blocking here and told no one.
-                let decision =
-                    TileSelector::host().select(T::PRECISION, (p.mwi(), p.nwi()), mp, np);
-                // Below the threshold the scoped-thread fork/join costs
-                // more than the copies it splits; route the O(N²) moves
-                // through the serial copiers and record the decision.
-                let serial = mp.max(np).max(kp) <= SERIAL_PACK_MAX;
-                pack_decision = Some(PackDecision {
-                    serial,
-                    threshold: SERIAL_PACK_MAX,
-                });
-                let (pa, pb, staged) = ws.pool::<T>().buffers(da.len(), db.len(), mp * np);
-                {
-                    let _g = clgemm_trace::span!("routine.pack_a");
-                    if serial {
-                        pack_into(a, spec_a, k, m, pa, da);
-                    } else {
-                        pack_into_par(a, spec_a, k, m, pa, da);
-                    }
-                }
-                {
-                    let _g = clgemm_trace::span!("routine.pack_b");
-                    if serial {
-                        pack_into(b, spec_b, k, n, pb, db);
-                    } else {
-                        pack_into_par(b, spec_b, k, n, pb, db);
-                    }
-                }
-                {
-                    let _g = clgemm_trace::span!("routine.stage_c");
-                    if serial {
-                        stage_c_into(c, p.mwg, p.nwg, staged);
-                    } else {
-                        stage_c_into_par(c, p.mwg, p.nwg, staged);
-                    }
-                }
-                {
-                    let _g = clgemm_trace::span!("routine.kernel");
-                    run_native_fast(
-                        mp,
-                        np,
-                        kp,
-                        alpha,
-                        pa,
-                        da,
-                        p.layout_a,
-                        pb,
-                        db,
-                        p.layout_b,
-                        beta,
-                        staged,
-                        decision.tile,
-                    );
-                }
-                {
-                    let _g = clgemm_trace::span!("routine.merge_c");
-                    if serial {
-                        merge_c(staged, p.mwg, p.nwg, c);
-                    } else {
-                        merge_c_par(staged, p.mwg, p.nwg, c);
-                    }
-                }
-                Some(decision)
+                let (a, b, c) = (a.view(), b.view(), c.view_mut());
+                run_packed(&plan, alpha, a, b, beta, c, None, None, ws, true);
             }
             HostEngine::Reference => {
+                // The reference engine runs untiled with serial copies
+                // and stays the oracle: it reports no decisions.
+                run.tile = None;
+                run.pack = None;
+                let (p, da, db) = (&plan.p, plan.da, plan.db);
+                let (mp, np, kp, la, lb) = (da.width, db.width, da.k, p.layout_a, p.layout_b);
                 let mut pa = vec![T::ZERO; da.len()];
                 let mut pb = vec![T::ZERO; db.len()];
-                clgemm_blas::pack::pack_into(a, spec_a, k, m, &mut pa, da);
-                clgemm_blas::pack::pack_into(b, spec_b, k, n, &mut pb, db);
-                let mut staged = clgemm_blas::pack::stage_c(c, p.mwg, p.nwg);
+                pack_into(a, plan.spec_a, k, m, &mut pa, da);
+                pack_into(b, plan.spec_b, k, n, &mut pb, db);
+                let mut staged = stage_c(c, p.mwg, p.nwg);
                 run_native(
                     mp,
                     np,
@@ -427,23 +310,16 @@ impl TunedGemm {
                     alpha,
                     &pa,
                     da,
-                    p.layout_a,
+                    la,
                     &pb,
                     db,
-                    p.layout_b,
+                    lb,
                     beta,
                     &mut staged,
                 );
                 merge_c(&staged, p.mwg, p.nwg, c);
-                None
             }
-        };
-
-        let mut run = self.predict(T::PREC_TAG == 'D', ty, m, n, k);
-        // Report the tile that actually executed: `None` for the
-        // reference engine (it runs untiled and stays the oracle).
-        run.tile = decision;
-        run.pack = pack_decision;
+        }
         let metrics = RoutineMetrics::get();
         metrics.gemms.inc();
         metrics.pack_a.observe_value(run.pack_a);
@@ -451,7 +327,7 @@ impl TunedGemm {
         metrics.stage_c.observe_value(run.stage_c);
         metrics.kernel.observe_value(run.kernel);
         metrics.total.observe_value(run.total);
-        if let Some(d) = decision {
+        if let Some(d) = run.tile {
             // Labeled, created on first use: only reasons that actually
             // occur appear in the exposition.
             Registry::global()
@@ -474,19 +350,20 @@ impl TunedGemm {
         n: usize,
         k: usize,
     ) -> GemmRun {
-        let p = if double_precision {
-            &self.dgemm
-        } else {
-            &self.sgemm
-        };
-        let e = p.elem_bytes();
-        let mp = round_up(m, p.mwg);
-        let np = round_up(n, p.nwg);
-        let kp = round_up(k, p.k_multiple());
+        self.model(&self.plan(double_precision, ty, m, n, k))
+    }
 
-        // Packing A reads op(A) — transposed reads when the pack flips.
-        let pack_a = pack_time(&self.device, k, m, kp, mp, e, ty.ta == Trans::No).seconds;
-        let pack_b = pack_time(&self.device, k, n, kp, np, e, ty.tb == Trans::Yes).seconds;
+    /// The routine-time model for a planned problem.
+    pub(crate) fn model(&self, plan: &PackedPlan) -> GemmRun {
+        let (p, m, n, k) = (&plan.p, plan.m, plan.n, plan.k);
+        let (mp, np, kp) = (plan.da.width, plan.db.width, plan.da.k);
+        let e = p.elem_bytes();
+
+        // Packing reads op(X) transposed when the pack transposes.
+        let pack = |width, wp, spec: PackSpec| {
+            pack_time(&self.device, k, width, kp, wp, e, spec.trans == Trans::Yes).seconds
+        };
+        let (pack_a, pack_b) = (pack(m, mp, plan.spec_a), pack(n, np, plan.spec_b));
         // C staged in and merged out (strided against the column-major
         // user matrix), plus the routine's fixed API overhead: separate
         // enqueues for two packs, the kernel, the merge, and a final
@@ -504,11 +381,6 @@ impl TunedGemm {
 
         let total = pack_a + pack_b + stage_c + kernel;
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let precision = if double_precision {
-            Precision::F64
-        } else {
-            Precision::F32
-        };
         GemmRun {
             pack_a,
             pack_b,
@@ -517,11 +389,59 @@ impl TunedGemm {
             total,
             gflops: flops / total / 1e9,
             kernel_gflops: flops / kernel / 1e9,
-            tile: Some(TileSelector::host().select(precision, (p.mwi(), p.nwi()), mp, np)),
-            pack: Some(PackDecision {
+            tile: Some(plan.tile),
+            pack: Some(plan.pack),
+        }
+    }
+
+    /// The packed plan of one problem at one precision.
+    pub(crate) fn plan(
+        &self,
+        double_precision: bool,
+        ty: GemmType,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> PackedPlan {
+        let p = if double_precision {
+            self.dgemm
+        } else {
+            self.sgemm
+        };
+        // Layout blocks are Kwg deep, but the depth is padded to the
+        // algorithm's K granularity (2·Kwg for DB).
+        let kp = round_up(k, p.k_multiple());
+        let dims = |width: usize, wwg: usize| {
+            PackedDims::new(kp, round_up(width, wwg), wwg, p.kwg)
+                .expect("padded dims divide the blocking")
+        };
+        let (da, db) = (dims(m, p.mwg), dims(n, p.nwg));
+        let (mp, np) = (da.width, db.width);
+        let spec = |trans, layout, wwg| PackSpec {
+            trans,
+            layout,
+            wwg,
+            kwg: p.kwg,
+        };
+        PackedPlan {
+            p,
+            m,
+            n,
+            k,
+            // The kernel consumes op(A) depth-first: packed A[p][i] =
+            // op(A)[i][p], so the pack transpose is the *flip* of the
+            // caller's op for A and the op itself for B.
+            spec_a: spec(ty.ta.flipped(), p.layout_a, p.mwg),
+            spec_b: spec(ty.tb, p.layout_b, p.nwg),
+            da,
+            db,
+            tile: TileSelector::host().select(p.precision, (p.mwi(), p.nwi()), mp, np),
+            // Below the threshold the scoped-thread fork/join costs more
+            // than the copies it splits.
+            pack: PackDecision {
                 serial: mp.max(np).max(kp) <= SERIAL_PACK_MAX,
                 threshold: SERIAL_PACK_MAX,
-            }),
+            },
         }
     }
 
@@ -531,6 +451,95 @@ impl TunedGemm {
         let p = self.params(precision);
         crate::tuner::search::measure_gflops(p, &self.device, round_up(n, p.lcm_block()))
     }
+}
+
+/// What the packed pipeline works out from one parameter set and one
+/// problem shape, in one place: execution, [`TunedGemm::predict`] and
+/// [`TunedGemm::predict_batch`] all read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PackedPlan {
+    pub(crate) p: KernelParams,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) spec_a: PackSpec,
+    pub(crate) spec_b: PackSpec,
+    pub(crate) da: PackedDims,
+    pub(crate) db: PackedDims,
+    pub(crate) tile: TileDecision,
+    pub(crate) pack: PackDecision,
+}
+
+/// One packed GEMM entry — the pipeline a single fast call and every
+/// entry of a packed batch run: pack `A` and `B` (unless `packed_a` or
+/// `packed_b` holds one already packed), stage `C`, run the panel
+/// microkernel, merge. Copies run serially or over `shim::par` as
+/// `plan.pack` says. `phase_spans` records the routine's per-phase
+/// spans, which only single calls do: a batch records one span for the
+/// whole call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_packed<S>(
+    plan: &PackedPlan,
+    alpha: S::Acc,
+    a: View<'_, S>,
+    b: View<'_, S>,
+    beta: S::Acc,
+    c: ViewMut<'_, S>,
+    packed_a: Option<&[S::Acc]>,
+    packed_b: Option<&[S::Acc]>,
+    ws: &mut Workspace,
+    phase_spans: bool,
+) where
+    S: StorageScalar,
+    S::Acc: WorkspaceScalar,
+{
+    let span = |name| phase_spans.then(|| clgemm_trace::span!(name));
+    let (p, da, db, serial) = (&plan.p, plan.da, plan.db, plan.pack.serial);
+    let (mp, np, kp, tile) = (da.width, db.width, da.k, plan.tile.tile);
+    let (pa, pb, staged) = ws.pool::<S::Acc>().buffers(
+        if packed_a.is_some() { 0 } else { da.len() },
+        if packed_b.is_some() { 0 } else { db.len() },
+        mp * np,
+    );
+    let pa: &[S::Acc] = match packed_a {
+        Some(packed) => packed,
+        None => {
+            let _g = span("routine.pack_a");
+            pack(a, plan.spec_a, pa, da, serial);
+            pa
+        }
+    };
+    let pb: &[S::Acc] = match packed_b {
+        Some(packed) => packed,
+        None => {
+            let _g = span("routine.pack_b");
+            pack(b, plan.spec_b, pb, db, serial);
+            pb
+        }
+    };
+    {
+        let _g = span("routine.stage_c");
+        stage(c.view(), p.mwg, p.nwg, staged, serial);
+    }
+    {
+        let _g = span("routine.kernel");
+        let (la, lb) = (p.layout_a, p.layout_b);
+        run_native_fast(
+            mp, np, kp, alpha, pa, da, la, pb, db, lb, beta, staged, tile,
+        );
+    }
+    let _g = span("routine.merge_c");
+    merge(staged, p.mwg, p.nwg, c, serial);
+}
+
+/// `C ← β·C` for a product term that is an empty (`k = 0`) or zeroed
+/// (`α = 0`) sum. The update is the kernel's own merge arithmetic
+/// (`α·acc + β·old` with `acc = 0`), so the result — including NaN
+/// propagation from a non-finite α — matches the full pipeline bit for
+/// bit, up to the sign of exact zeros when α = 0.
+pub(crate) fn scale_c<S: StorageScalar>(alpha: S::Acc, beta: S::Acc, mut c: ViewMut<'_, S>) {
+    let zero = <S::Acc as Scalar>::ZERO;
+    c.update(|old| S::narrow(alpha.mul_add(zero, beta * old.widen())));
 }
 
 #[cfg(test)]

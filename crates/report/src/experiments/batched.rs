@@ -123,8 +123,8 @@ where
             .collect()
     };
     let (a, b, c0) = (fill(1), fill(2), fill(3));
-    let alpha = S::Acc::from_f64(1.25);
-    let beta = S::Acc::from_f64(-0.5);
+    let alpha = <S::Acc as Scalar>::from_f64(1.25);
+    let beta = <S::Acc as Scalar>::from_f64(-0.5);
 
     // Oracle: loop the single-GEMM routine over widened entries.
     let mut want: Vec<S> = Vec::with_capacity(len);

@@ -6,11 +6,11 @@
 //! batcher → cache pipeline as individual submissions. The server
 //! therefore serves them through a bypass API
 //! ([`crate::GemmServer::run_batched`]): the whole slab is costed on
-//! every device with the batched performance model
-//! (`TunedGemm::predict_batch` / `predict_batch_direct`), placed on the
-//! least-loaded worker by the same scheduler that places coalesced
-//! batches, and executed in one call through the routine layer's
-//! batched entry point with a per-worker reusable [`BatchWorkspace`].
+//! every device with the batched performance model of the path it will
+//! take (`TunedGemm::route_batch`), placed on the least-loaded worker by
+//! the same scheduler that places coalesced batches, and executed in one
+//! call through the routine layer's batched entry point with a
+//! per-worker reusable [`BatchWorkspace`].
 //!
 //! Unlike [`crate::GemmPayload`], batched payloads cover the two
 //! reduced-precision *storage* types as well: `f16` and `bf16` slabs

@@ -12,7 +12,7 @@ use crate::request::{
 };
 use crate::scheduler::Scheduler;
 use crate::stats::{ServerStats, StatsSnapshot};
-use clgemm::batched::{BatchRun, DIRECT_BATCH_MAX};
+use clgemm::batched::{BatchOptions, BatchRun};
 use clgemm::params::{small_test_params, KernelParams};
 use clgemm::predict::predict_best;
 use clgemm::profile::launch_profile;
@@ -604,28 +604,19 @@ impl GemmServer {
         n
     }
 
-    /// Mirror the kernel cache's counters into the serving stats.
-    fn sync_cache_stats(&self) {
-        let (hits, misses, evictions) = self.cache.counters();
-        self.shared.stats.cache_hits.store(hits, Ordering::Relaxed);
-        self.shared
-            .stats
-            .cache_misses
-            .store(misses, Ordering::Relaxed);
-        self.shared
-            .stats
-            .cache_evictions
-            .store(evictions, Ordering::Relaxed);
-        let by = self.cache.provenance_hits();
-        for (slot, count) in self.shared.stats.hits_by_provenance.iter().zip(by) {
-            slot.store(count, Ordering::Relaxed);
-        }
-    }
-
-    /// A coherent copy of the serving counters.
+    /// A coherent copy of the serving counters. The cache counters are
+    /// read from the kernel cache itself, which only the drain thread
+    /// (the owner of `self`) updates.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        let (cache_hits, cache_misses, cache_evictions) = self.cache.counters();
+        StatsSnapshot {
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            hits_by_provenance: self.cache.provenance_hits(),
+            ..self.shared.stats.snapshot()
+        }
     }
 
     /// Total staging-buffer growth events across all workers. A
@@ -718,7 +709,6 @@ impl GemmServer {
         self.shared
             .stats
             .record_batched(&spec.code_name, desc.batch as u64, run.total, wall);
-        self.sync_cache_stats();
         Ok(BatchedResponse {
             device: spec.code_name.clone(),
             params,
@@ -873,9 +863,6 @@ impl GemmServer {
                 .observe_secs_per_flop(modelled_seconds / modelled_flops);
         }
         self.publish_admission_clock();
-
-        // Mirror the cache's own counters into the serving stats.
-        self.sync_cache_stats();
         answered
     }
 
@@ -1293,9 +1280,9 @@ fn batch_cost(spec: &DeviceSpec, batch: &Batch, params: KernelParams) -> f64 {
         .sum()
 }
 
-/// Modelled cost of one strided-batched call with `params` on `spec`:
-/// the direct model below the crossover edge, the packed model above
-/// it (infinite when the kernel cannot launch there).
+/// Modelled cost of one strided-batched call with `params` on `spec`
+/// through the path the call will take (infinite when the kernel cannot
+/// launch there).
 fn batched_cost(
     spec: &DeviceSpec,
     desc: &GemmBatch,
@@ -1303,16 +1290,9 @@ fn batched_cost(
     params: KernelParams,
 ) -> f64 {
     let tuned = tuned_for(spec, precision, params);
-    if desc.m.max(desc.n).max(desc.k) <= DIRECT_BATCH_MAX {
-        // The direct model depends only on the accumulation precision,
-        // so costing with the widened type is exact for f16/bf16 too.
-        match precision {
-            Precision::F64 => tuned.predict_batch_direct::<f64>(desc),
-            Precision::F32 => tuned.predict_batch_direct::<f32>(desc),
-        }
-    } else {
-        tuned.predict_batch(precision == Precision::F64, desc)
-    }
+    tuned
+        .route_batch(precision, desc, &BatchOptions::default())
+        .1
 }
 
 /// Run the strided batch in place through the routine layer's batched
@@ -1768,6 +1748,43 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn stats_report_the_kernel_caches_own_counters() {
+        // One device, so repeats of a bucket land where they hit.
+        let cfg = ServeConfig {
+            registry: Some(Registry::new()),
+            ..Default::default()
+        };
+        let mut server = GemmServer::new(vec![DeviceId::Tahiti.spec()], cfg);
+        let check = |server: &GemmServer| {
+            let stats = server.stats();
+            let counters = (stats.cache_hits, stats.cache_misses, stats.cache_evictions);
+            assert_eq!(counters, server.cache.counters());
+            assert_eq!(stats.hits_by_provenance, server.cache.provenance_hits());
+        };
+        for seed in 0..2 {
+            server.submit(request(64, seed)).unwrap();
+            server.drain();
+            check(&server);
+        }
+        let desc = GemmBatch::packed(GemmType::NN, 2, 24, 24, 24);
+        for _ in 0..2 {
+            let payload = BatchedPayload::F64 {
+                alpha: 1.0,
+                a: vec![0.5; 2 * 24 * 24],
+                b: vec![0.25; 2 * 24 * 24],
+                beta: 0.0,
+                c: vec![0.0; 2 * 24 * 24],
+            };
+            server
+                .run_batched(BatchedRequest::new(desc, payload))
+                .unwrap();
+            check(&server);
+        }
+        let stats = server.stats();
+        assert!(stats.cache_hits >= 2 && stats.cache_misses >= 2, "{stats}");
     }
 
     #[test]

@@ -51,12 +51,6 @@ pub struct ServerStats {
     pub batched_requests: AtomicU64,
     /// Largest batch issued so far. Batch-scoped (see `completed`).
     pub max_batch: AtomicU64,
-    /// Mirrored from the kernel cache at the end of each drain by the
-    /// single drain thread; Relaxed is enough for a plain publication
-    /// of independent totals.
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub cache_evictions: AtomicU64,
     /// Submissions bounced by queue backpressure. Submit-side: see
     /// `enqueued`.
     pub rejected_queue_full: AtomicU64,
@@ -105,10 +99,6 @@ pub struct ServerStats {
     /// Background refinements absorbed into the cache so far. Written
     /// only by the drain thread when it absorbs refiner results.
     pub refines: AtomicU64,
-    /// Cache hits by entry provenance, indexed by
-    /// [`Provenance::index`]. Mirrored from the kernel cache at the end
-    /// of each drain, like `cache_hits`.
-    pub hits_by_provenance: [AtomicU64; 3],
     per_device: Mutex<BTreeMap<String, DeviceStat>>,
     per_tenant: Mutex<BTreeMap<String, TenantStat>>,
     registry: Registry,
@@ -210,9 +200,6 @@ impl ServerStats {
             batches: AtomicU64::new(0),
             batched_requests: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
             rejected_queue_full: AtomicU64::new(0),
             rejected_deadline_admit: AtomicU64::new(0),
             rejected_deadline_late: AtomicU64::new(0),
@@ -227,7 +214,6 @@ impl ServerStats {
             db_misses: AtomicU64::new(0),
             db_stale: AtomicU64::new(0),
             refines: AtomicU64::new(0),
-            hits_by_provenance: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             per_device: Mutex::new(BTreeMap::new()),
             per_tenant: Mutex::new(BTreeMap::new()),
             registry,
@@ -447,7 +433,8 @@ impl ServerStats {
     /// per-device rows are mutually consistent in the returned value
     /// (in particular `completed` equals the per-device `requests`
     /// sum). Submit-side counters may run ahead, as documented on the
-    /// fields.
+    /// fields. The kernel-cache counters stay zero here: the cache
+    /// belongs to the server, and `GemmServer::stats` fills them in.
     #[must_use]
     pub fn snapshot(&self) -> StatsSnapshot {
         let per_device = self.per_device.lock().expect("stats poisoned");
@@ -458,9 +445,6 @@ impl ServerStats {
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             max_batch: self.max_batch.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             rejected_deadline_admit: self.rejected_deadline_admit.load(Ordering::Relaxed),
             rejected_deadline_late: self.rejected_deadline_late.load(Ordering::Relaxed),
@@ -475,11 +459,6 @@ impl ServerStats {
             db_misses: self.db_misses.load(Ordering::Relaxed),
             db_stale: self.db_stale.load(Ordering::Relaxed),
             refines: self.refines.load(Ordering::Relaxed),
-            hits_by_provenance: [
-                self.hits_by_provenance[0].load(Ordering::Relaxed),
-                self.hits_by_provenance[1].load(Ordering::Relaxed),
-                self.hits_by_provenance[2].load(Ordering::Relaxed),
-            ],
             queue_wait: self.queue_wait.summary(),
             batch_size: self.batch_size.summary(),
             batched_size: self.batched_size.summary(),
@@ -488,6 +467,7 @@ impl ServerStats {
             model_drift_abs: self.drift_abs.summary(),
             per_device: per_device.clone(),
             per_tenant,
+            ..StatsSnapshot::default()
         }
     }
 }

@@ -117,8 +117,8 @@ where
     fill(rng, &mut b);
     fill(rng, &mut c);
     let c0 = c.clone();
-    let alpha = S::Acc::from_f64(case.alpha);
-    let beta = S::Acc::from_f64(case.beta);
+    let alpha = <S::Acc as Scalar>::from_f64(case.alpha);
+    let beta = <S::Acc as Scalar>::from_f64(case.beta);
 
     let opts = BatchOptions {
         force_path: case.force,
