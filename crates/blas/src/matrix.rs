@@ -187,6 +187,34 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
+    /// The storage lines — columns of a column-major matrix, rows of a
+    /// row-major one — in storage order, as contiguous slices without
+    /// the `ld` padding between them.
+    pub fn lines(&self) -> impl Iterator<Item = &[T]> {
+        let (count, len) = self.line_shape();
+        self.data
+            .chunks(self.ld)
+            .take(count)
+            .map(move |l| &l[..len])
+    }
+
+    /// [`Matrix::lines`], writable.
+    pub fn lines_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let (count, len) = self.line_shape();
+        self.data
+            .chunks_mut(self.ld)
+            .take(count)
+            .map(move |l| &mut l[..len])
+    }
+
+    /// `(number of storage lines, elements per line)`.
+    fn line_shape(&self) -> (usize, usize) {
+        match self.order {
+            StorageOrder::ColMajor => (self.cols, self.rows),
+            StorageOrder::RowMajor => (self.rows, self.cols),
+        }
+    }
+
     /// Row and column strides: element `(i, j)` lives at `i·rs + j·cs`.
     fn strides(&self) -> (usize, usize) {
         match self.order {
@@ -237,6 +265,36 @@ mod tests {
         assert_eq!(c.offset(1, 1), 1 + 3);
         let r = Matrix::<f64>::zeros(3, 2, StorageOrder::RowMajor);
         assert_eq!(r.offset(1, 1), 2 + 1);
+    }
+
+    #[test]
+    fn lines_skip_the_ld_padding() {
+        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
+            let mut m = Matrix::<f64>::zeros_with_ld(3, 2, 5, order);
+            m.as_mut_slice().fill(f64::NAN);
+            for (k, line) in m.lines_mut().enumerate() {
+                line.iter_mut().for_each(|v| *v = k as f64);
+            }
+            let (count, len) = match order {
+                StorageOrder::ColMajor => (2, 3),
+                StorageOrder::RowMajor => (3, 2),
+            };
+            let lines: Vec<&[f64]> = m.lines().collect();
+            assert_eq!(lines.len(), count);
+            for (k, line) in lines.iter().enumerate() {
+                assert_eq!(*line, &vec![k as f64; len][..]);
+            }
+            let gaps = m.as_slice().iter().filter(|v| v.is_nan()).count();
+            assert_eq!(gaps, m.as_slice().len() - count * len, "padding untouched");
+        }
+        let empty = Matrix::<f32>::zeros(0, 4, StorageOrder::ColMajor);
+        assert!(empty.lines().all(<[f32]>::is_empty));
+        assert_eq!(
+            Matrix::<f32>::zeros(4, 0, StorageOrder::ColMajor)
+                .lines()
+                .count(),
+            0
+        );
     }
 
     #[test]

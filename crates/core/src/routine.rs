@@ -68,13 +68,16 @@ impl RoutineMetrics {
 }
 
 /// Padded problems whose every edge is at or below this run their
-/// packing, staging and merging serially: below ~64³ the scoped-thread
-/// fork/join of the parallel copies costs more than the `O(N²)` copies
-/// they split up.
+/// packing, staging and merging serially: below ~64³ handing half of
+/// each `O(N²)` copy to a `shim::par` pool worker (a lock, a condvar
+/// wake-up and a wait for the worker to finish) saves too little to be
+/// worth it. The value was measured when every parallel copy spawned
+/// its own threads and is kept as it was; with the pool's cheaper
+/// hand-off the true break-even is likely lower.
 pub const SERIAL_PACK_MAX: usize = 64;
 
 /// How the fast path moved data: serially below [`SERIAL_PACK_MAX`],
-/// through the scoped-thread packers above it.
+/// split across the `shim::par` pool above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackDecision {
     /// `true` when the serial copiers ran.
@@ -436,8 +439,7 @@ impl TunedGemm {
             da,
             db,
             tile: TileSelector::host().select(p.precision, (p.mwi(), p.nwi()), mp, np),
-            // Below the threshold the scoped-thread fork/join costs more
-            // than the copies it splits.
+            // Below the threshold the pool hand-off saves too little.
             pack: PackDecision {
                 serial: mp.max(np).max(kp) <= SERIAL_PACK_MAX,
                 threshold: SERIAL_PACK_MAX,

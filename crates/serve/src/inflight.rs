@@ -13,14 +13,32 @@
 //!
 //! Correctness argument: two requests with equal keys are treated as
 //! the same computation. The key covers everything `TunedGemm` reads —
-//! `op(A)`/`op(B)` selection, both dimensions and storage order of
-//! every operand, `alpha`/`beta` bit patterns, and all logical elements
-//! of `A`, `B`, *and* `C` (`C` participates whenever `beta != 0`, and
-//! hashing it unconditionally is cheaper than reasoning about when it
-//! is dead). Two independent 64-bit FNV-1a streams with different
-//! offsets plus the total element count make accidental collision
-//! probability ~2⁻¹²⁸ per pair — and a collision could only ever
-//! substitute one *served result* for another, never corrupt a batch.
+//! `op(A)`/`op(B)` selection, precision, `alpha`/`beta` bit patterns,
+//! the dimensions and storage order of every operand, and all logical
+//! elements of `A`, `B`, *and* `C` (`C` is live even at `beta == 0`,
+//! because `0 · NaN` is NaN). Elements enter as their raw storage bits,
+//! one storage line (a column of a column-major matrix, a row of a
+//! row-major one) at a time, so `ld` padding — which the kernel never
+//! reads — cannot split identical requests apart, while `-0.0` and
+//! every NaN payload stay distinct from their look-alikes.
+//!
+//! The hash is built for speed, not proof: it must cost far less than
+//! the GEMM it saves, so it reads a word at a time. Four independent
+//! lanes each absorb two 64-bit words per round with one folded
+//! multiply (the high and low halves of a 64×64→128-bit product,
+//! xored), and the lanes fold into the 128-bit `(h1, h2)` at the end.
+//! The seeds come from std's `RandomState` once per process, so keys
+//! are only comparable within one process and are never persisted.
+//! The argument assumes the operands do not depend on those seeds:
+//! such inputs see each lane step as a random mixing of its 128 input
+//! bits, so two different requests share a key with probability about
+//! 2⁻¹²⁸, and the rare input that erases a lane's history (a word equal
+//! to the lane's seed, which zeroes the product) turns up with
+//! probability 2⁻⁶⁴ per word. A caller who could read the seeds could
+//! craft collisions; keys are not a defence against adversarial
+//! inputs. Even then a collision could only ever substitute one *served
+//! result* for another of the same precision and shape, never corrupt
+//! a batch.
 
 use crate::request::{GemmPayload, GemmRequest};
 use clgemm::params::KernelParams;
@@ -28,6 +46,9 @@ use clgemm::routine::GemmRun;
 use clgemm_blas::matrix::{Matrix, StorageOrder};
 use clgemm_blas::scalar::Scalar;
 use clgemm_blas::Trans;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// Content identity of a GEMM request: equal keys ⇒ the same
 /// computation (same tuned kernel inputs, bit for bit).
@@ -39,31 +60,140 @@ pub struct ContentKey {
     elems: u64,
 }
 
-/// Two independent FNV-1a streams (different offset bases) fed the
-/// same word sequence.
-struct Fnv2 {
-    h1: u64,
-    h2: u64,
+/// Independent multiply chains: enough multiplies in flight to hide
+/// their latency.
+const LANES: usize = 4;
+
+/// Words one round absorbs: two per lane.
+const BLOCK: usize = 2 * LANES;
+
+/// This process's seeds: each lane's start value, each lane's mask for
+/// its second operand, and four finishing masks.
+fn seeds() -> &'static [u64; 2 * LANES + 4] {
+    static SEEDS: OnceLock<[u64; 2 * LANES + 4]> = OnceLock::new();
+    SEEDS.get_or_init(|| {
+        let state = RandomState::new();
+        std::array::from_fn(|i| state.hash_one(i))
+    })
+}
+
+/// The 128-bit product of `a` and `b` with its halves xored.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
+/// One round: lane `l` absorbs words `2l` and `2l + 1` of `block`.
+#[inline]
+fn round(lane: [u64; LANES], mask: [u64; LANES], block: [u64; BLOCK]) -> [u64; LANES] {
+    std::array::from_fn(|l| fold_mul(block[2 * l] ^ lane[l], block[2 * l + 1] ^ mask[l]))
+}
+
+/// Storage scalars the key reads as raw bits, `PER_WORD` to a word.
+trait Bits: Copy {
+    const PER_WORD: usize;
+    /// One word from `PER_WORD` elements (fewer only at a line's end).
+    fn word(elems: &[Self]) -> u64;
+    /// A round's words from exactly `BLOCK · PER_WORD` elements.
+    fn block(elems: &[Self]) -> [u64; BLOCK];
+}
+
+impl Bits for f64 {
+    const PER_WORD: usize = 1;
+    #[inline]
+    fn word(elems: &[f64]) -> u64 {
+        elems[0].to_bits()
+    }
+    #[inline]
+    fn block(elems: &[f64]) -> [u64; BLOCK] {
+        let elems: &[f64; BLOCK] = elems.try_into().expect("one block");
+        elems.map(f64::to_bits)
+    }
+}
+
+impl Bits for f32 {
+    const PER_WORD: usize = 2;
+    #[inline]
+    fn word(elems: &[f32]) -> u64 {
+        elems
+            .iter()
+            .rev()
+            .fold(0, |w, x| w << 32 | u64::from(x.to_bits()))
+    }
+    #[inline]
+    fn block(elems: &[f32]) -> [u64; BLOCK] {
+        let elems: &[f32; 2 * BLOCK] = elems.try_into().expect("one block");
+        std::array::from_fn(|i| {
+            u64::from(elems[2 * i].to_bits()) | u64::from(elems[2 * i + 1].to_bits()) << 32
+        })
+    }
+}
+
+/// The running hash: `LANES` folded-multiply chains fed a `BLOCK` of
+/// words per round, plus the words still waiting for a full block.
+struct Lanes {
+    lane: [u64; LANES],
+    mask: [u64; LANES],
+    pending: [u64; BLOCK],
+    fill: usize,
     words: u64,
 }
 
-impl Fnv2 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    fn new() -> Fnv2 {
-        Fnv2 {
-            h1: 0xCBF2_9CE4_8422_2325, // standard FNV offset basis
-            h2: 0x6C62_272E_07BB_0142, // FNV-1a 128-bit basis (low word)
+impl Lanes {
+    fn new() -> Lanes {
+        let s = seeds();
+        Lanes {
+            lane: std::array::from_fn(|l| s[l]),
+            mask: std::array::from_fn(|l| s[LANES + l]),
+            pending: [0; BLOCK],
+            fill: 0,
             words: 0,
         }
     }
 
-    fn write_u64(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.h1 = (self.h1 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-            self.h2 = (self.h2 ^ u64::from(byte ^ 0x5A)).wrapping_mul(Self::PRIME);
-        }
+    fn write(&mut self, word: u64) {
+        self.pending[self.fill] = word;
+        self.fill += 1;
         self.words += 1;
+        if self.fill == BLOCK {
+            self.fill = 0;
+            self.lane = round(self.lane, self.mask, self.pending);
+        }
+    }
+
+    /// Feed one storage line. Whole blocks go from the line straight
+    /// to the lanes; only the ends pass through `pending`.
+    fn write_line<T: Bits>(&mut self, line: &[T]) {
+        let head = ((BLOCK - self.fill) % BLOCK * T::PER_WORD).min(line.len());
+        let (head, body) = line.split_at(head);
+        head.chunks(T::PER_WORD)
+            .for_each(|w| self.write(T::word(w)));
+        let mut blocks = body.chunks_exact(BLOCK * T::PER_WORD);
+        let mut lanes = self.lane;
+        for b in &mut blocks {
+            lanes = round(lanes, self.mask, T::block(b));
+        }
+        self.lane = lanes;
+        self.words += (body.len() / (BLOCK * T::PER_WORD) * BLOCK) as u64;
+        let tail = blocks.remainder();
+        tail.chunks(T::PER_WORD)
+            .for_each(|w| self.write(T::word(w)));
+    }
+
+    /// Absorb the zero-padded last block, then fold the lanes and the
+    /// word count (which tells padding from real zero words) into 128
+    /// bits.
+    fn finish(mut self) -> (u64, u64) {
+        if self.fill > 0 {
+            self.pending[self.fill..].fill(0);
+            self.lane = round(self.lane, self.mask, self.pending);
+        }
+        let f = &seeds()[2 * LANES..];
+        let [a, b, c, d] = self.lane;
+        let x = fold_mul(a ^ f[0], b ^ self.words);
+        let y = fold_mul(c ^ f[1], d ^ f[2]);
+        (fold_mul(x ^ f[3], y ^ f[0]), fold_mul(x ^ f[2], y ^ f[3]))
     }
 }
 
@@ -81,28 +211,23 @@ fn order_tag(o: StorageOrder) -> u64 {
     }
 }
 
-/// Hash one operand: shape, storage order, and every logical element's
-/// bit pattern (logical traversal, so `ld` padding bytes — which the
-/// kernel never reads — cannot split identical requests apart).
-fn hash_matrix<T: Scalar>(h: &mut Fnv2, m: &Matrix<T>) -> u64 {
-    h.write_u64(m.rows() as u64);
-    h.write_u64(m.cols() as u64);
-    h.write_u64(order_tag(m.order()));
-    for j in 0..m.cols() {
-        for i in 0..m.rows() {
-            h.write_u64(m.at(i, j).to_f64().to_bits());
-        }
-    }
+/// Hash one operand: shape, storage order, then every storage line's
+/// raw bits. Returns its logical element count.
+fn hash_matrix<T: Scalar + Bits>(h: &mut Lanes, m: &Matrix<T>) -> u64 {
+    h.write(m.rows() as u64);
+    h.write(m.cols() as u64);
+    h.write(order_tag(m.order()));
+    m.lines().for_each(|line| h.write_line(line));
     (m.rows() * m.cols()) as u64
 }
 
-/// The content key of a request. Cost is one pass over the operands —
-/// far cheaper than the GEMM itself (O(n²) vs O(n³)).
+/// The content key of a request: one pass over the operands at a few
+/// bytes per cycle, cheap next to even a 64³ GEMM.
 #[must_use]
 pub fn content_key(req: &GemmRequest) -> ContentKey {
-    let mut h = Fnv2::new();
-    h.write_u64(trans_tag(req.ty.ta));
-    h.write_u64(trans_tag(req.ty.tb));
+    let mut h = Lanes::new();
+    h.write(trans_tag(req.ty.ta));
+    h.write(trans_tag(req.ty.tb));
     let elems = match &req.payload {
         GemmPayload::F64 {
             alpha,
@@ -111,9 +236,9 @@ pub fn content_key(req: &GemmRequest) -> ContentKey {
             beta,
             c,
         } => {
-            h.write_u64(0); // precision tag
-            h.write_u64(alpha.to_bits());
-            h.write_u64(beta.to_bits());
+            h.write(0); // precision tag
+            h.write(alpha.to_bits());
+            h.write(beta.to_bits());
             hash_matrix(&mut h, a) + hash_matrix(&mut h, b) + hash_matrix(&mut h, c)
         }
         GemmPayload::F32 {
@@ -123,16 +248,26 @@ pub fn content_key(req: &GemmRequest) -> ContentKey {
             beta,
             c,
         } => {
-            h.write_u64(1);
-            h.write_u64(u64::from(alpha.to_bits()));
-            h.write_u64(u64::from(beta.to_bits()));
+            h.write(1);
+            h.write(u64::from(alpha.to_bits()));
+            h.write(u64::from(beta.to_bits()));
             hash_matrix(&mut h, a) + hash_matrix(&mut h, b) + hash_matrix(&mut h, c)
         }
     };
-    ContentKey {
-        h1: h.h1,
-        h2: h.h2,
-        elems,
+    let (h1, h2) = h.finish();
+    ContentKey { h1, h2, elems }
+}
+
+/// Copy `src`'s logical elements into `dst`, line by line, leaving
+/// `dst`'s leading dimension and `ld` padding as they were.
+fn copy_logical<T: Scalar>(src: &Matrix<T>, dst: &mut Matrix<T>) {
+    assert_eq!(
+        (src.rows(), src.cols(), src.order()),
+        (dst.rows(), dst.cols(), dst.order()),
+        "content key includes the shape and order of C"
+    );
+    for (d, s) in dst.lines_mut().zip(src.lines()) {
+        d.copy_from_slice(s);
     }
 }
 
@@ -153,12 +288,14 @@ impl CachedC {
         }
     }
 
-    /// Copy the cached result into a follower's payload. Precisions
-    /// always match because precision is part of the content key.
+    /// Copy the cached result's logical elements into a follower's own
+    /// `C`, which keeps its leading dimension and untouched `ld`
+    /// padding, exactly as if the follower had executed. Precision,
+    /// shape and order always match because the content key pins them.
     pub fn write_into(&self, payload: &mut GemmPayload) {
         match (self, payload) {
-            (CachedC::F64(src), GemmPayload::F64 { c, .. }) => *c = src.clone(),
-            (CachedC::F32(src), GemmPayload::F32 { c, .. }) => *c = src.clone(),
+            (CachedC::F64(src), GemmPayload::F64 { c, .. }) => copy_logical(src, c),
+            (CachedC::F32(src), GemmPayload::F32 { c, .. }) => copy_logical(src, c),
             _ => unreachable!("content key includes precision"),
         }
     }
@@ -329,6 +466,199 @@ mod tests {
             .with_tenant("beta")
             .with_priority(crate::request::Priority::High);
         assert_eq!(content_key(&a), content_key(&b));
+    }
+
+    /// `m` stored with leading dimension `ld` and NaN in every gap.
+    fn padded<T: Scalar>(m: &Matrix<T>, ld: usize, gap: T) -> Matrix<T> {
+        let mut out = Matrix::zeros_with_ld(m.rows(), m.cols(), ld, m.order());
+        out.as_mut_slice().fill(gap);
+        for (d, s) in out.lines_mut().zip(m.lines()) {
+            d.copy_from_slice(s);
+        }
+        out
+    }
+
+    fn nn(a: Matrix<f64>, b: Matrix<f64>, beta: f64, c: Matrix<f64>) -> GemmRequest {
+        let payload = GemmPayload::F64 {
+            alpha: 1.0,
+            a,
+            b,
+            beta,
+            c,
+        };
+        GemmRequest::new(GemmType::NN, payload)
+    }
+
+    fn nn32(a: Matrix<f32>, b: Matrix<f32>, beta: f32, c: Matrix<f32>) -> GemmRequest {
+        let payload = GemmPayload::F32 {
+            alpha: 1.0,
+            a,
+            b,
+            beta,
+            c,
+        };
+        GemmRequest::new(GemmType::NN, payload)
+    }
+
+    #[test]
+    fn ld_and_gap_contents_do_not_split_the_key() {
+        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
+            let (a, b, c) = (
+                Matrix::<f64>::test_pattern(13, 9, order, 1),
+                Matrix::<f64>::test_pattern(9, 11, order, 2),
+                Matrix::<f64>::test_pattern(13, 11, order, 3),
+            );
+            let tight = content_key(&nn(a.clone(), b.clone(), 0.5, c.clone()));
+            for (ld, gap) in [(17, f64::NAN), (29, -0.0), (40, f64::INFINITY)] {
+                let loose = nn(
+                    padded(&a, ld, gap),
+                    padded(&b, ld, gap),
+                    0.5,
+                    padded(&c, ld, gap),
+                );
+                assert_eq!(content_key(&loose), tight, "{order:?} ld {ld}");
+            }
+            let (a, b, c) = (
+                Matrix::<f32>::test_pattern(7, 5, order, 4),
+                Matrix::<f32>::test_pattern(5, 3, order, 5),
+                Matrix::<f32>::test_pattern(7, 3, order, 6),
+            );
+            let tight = content_key(&nn32(a.clone(), b.clone(), 0.0, c.clone()));
+            for (ld, gap) in [(8, f32::NAN), (12, 1.0)] {
+                let loose = nn32(
+                    padded(&a, ld, gap),
+                    padded(&b, ld, gap),
+                    0.0,
+                    padded(&c, ld, gap),
+                );
+                assert_eq!(content_key(&loose), tight, "{order:?} ld {ld}");
+            }
+        }
+    }
+
+    /// Every single-element change of A, B or C — at every position,
+    /// with padded `ld` so lines straddle hash blocks — gives a key of
+    /// its own.
+    #[test]
+    fn every_single_element_change_changes_the_key() {
+        let quiet_nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+        let base_a = padded(
+            &Matrix::test_pattern(5, 3, StorageOrder::ColMajor, 1),
+            7,
+            0.0,
+        );
+        let base_b = padded(
+            &Matrix::test_pattern(3, 4, StorageOrder::RowMajor, 2),
+            6,
+            0.0,
+        );
+        let mut base_c = padded(
+            &Matrix::test_pattern(5, 4, StorageOrder::ColMajor, 3),
+            5,
+            0.0,
+        );
+        *base_c.at_mut(4, 3) = 0.0;
+        *base_c.at_mut(0, 0) = quiet_nan(1);
+        let base = nn(base_a.clone(), base_b.clone(), 0.0, base_c.clone());
+        let mut keys = vec![content_key(&base)];
+        for operand in 0..3 {
+            let (rows, cols) = [(5, 3), (3, 4), (5, 4)][operand];
+            for j in 0..cols {
+                for i in 0..rows {
+                    let mut req = base.clone();
+                    let GemmPayload::F64 { a, b, c, .. } = &mut req.payload else {
+                        unreachable!()
+                    };
+                    let m = [a, b, c].into_iter().nth(operand).expect("three operands");
+                    let v = m.at(i, j);
+                    *m.at_mut(i, j) = if v.is_nan() { 0.5 } else { v + 0.25 };
+                    keys.push(content_key(&req));
+                }
+            }
+        }
+        // +0.0 → −0.0, and one quiet-NaN payload → another, in C (live
+        // even at beta = 0).
+        let mut signed_zero = base.clone();
+        let mut other_nan = base.clone();
+        if let GemmPayload::F64 { c, .. } = &mut signed_zero.payload {
+            *c.at_mut(4, 3) = -0.0;
+        }
+        if let GemmPayload::F64 { c, .. } = &mut other_nan.payload {
+            *c.at_mut(0, 0) = quiet_nan(2);
+        }
+        keys.push(content_key(&signed_zero));
+        keys.push(content_key(&other_nan));
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            keys.len(),
+            "{} keys, {} distinct",
+            keys.len(),
+            distinct.len()
+        );
+
+        // The same in single precision, where two elements share a word.
+        let a = padded(
+            &Matrix::<f32>::test_pattern(5, 3, StorageOrder::ColMajor, 1),
+            6,
+            0.0,
+        );
+        let base = nn32(
+            a,
+            Matrix::zeros(3, 2, StorageOrder::ColMajor),
+            0.0,
+            Matrix::zeros(5, 2, StorageOrder::ColMajor),
+        );
+        let mut keys = vec![content_key(&base)];
+        for j in 0..3 {
+            for i in 0..5 {
+                let mut req = base.clone();
+                if let GemmPayload::F32 { a, .. } = &mut req.payload {
+                    *a.at_mut(i, j) = -a.at(i, j);
+                }
+                keys.push(content_key(&req));
+            }
+        }
+        let mut signed_zero = base.clone();
+        if let GemmPayload::F32 { c, .. } = &mut signed_zero.payload {
+            *c.at_mut(4, 1) = -0.0;
+        }
+        keys.push(content_key(&signed_zero));
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len());
+    }
+
+    #[test]
+    fn storage_order_stays_part_of_the_key() {
+        let col = |seed| Matrix::<f64>::test_pattern(6, 6, StorageOrder::ColMajor, seed);
+        let row = |seed| col(seed).to_order(StorageOrder::RowMajor);
+        let c = Matrix::zeros(6, 6, StorageOrder::ColMajor);
+        let by_cols = content_key(&nn(col(1), col(2), 0.0, c.clone()));
+        assert_ne!(by_cols, content_key(&nn(row(1), col(2), 0.0, c.clone())));
+        assert_ne!(by_cols, content_key(&nn(col(1), row(2), 0.0, c)));
+    }
+
+    #[test]
+    fn write_into_keeps_the_followers_layout() {
+        let src = Matrix::test_pattern(6, 5, StorageOrder::ColMajor, 9);
+        let cached = CachedC::F64(src.clone());
+        let mut payload = GemmPayload::F64 {
+            alpha: 1.0,
+            a: Matrix::zeros(6, 4, StorageOrder::ColMajor),
+            b: Matrix::zeros(4, 5, StorageOrder::ColMajor),
+            beta: 0.0,
+            c: padded(&Matrix::zeros(6, 5, StorageOrder::ColMajor), 9, f64::NAN),
+        };
+        cached.write_into(&mut payload);
+        let GemmPayload::F64 { c, .. } = payload else {
+            unreachable!()
+        };
+        assert_eq!(c.ld(), 9);
+        for (got, want) in c.lines().zip(src.lines()) {
+            assert_eq!(got, want);
+        }
+        let gaps = c.as_slice().iter().filter(|v| v.is_nan()).count();
+        assert_eq!(gaps, 9 * 5 - 6 * 5, "ld gaps untouched");
     }
 
     fn cached(tag: f64) -> CachedResult {

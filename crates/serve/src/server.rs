@@ -760,8 +760,7 @@ impl GemmServer {
             }
             let key = content_key(&p.req);
             if let Some(cached) = self.result_cache.get(&key) {
-                let cached = cached.clone();
-                self.answer_from_cache(p, &cached);
+                Self::answer_from_cache(&self.shared.stats, &mut self.responses, p, cached);
                 answered += 1;
                 continue;
             }
@@ -879,8 +878,14 @@ impl GemmServer {
     }
 
     /// Answer one request straight from the result cache: same device,
-    /// parameters, and result bits as the original execution.
-    fn answer_from_cache(&mut self, p: PendingRequest, cached: &CachedResult) {
+    /// parameters, and result bits as the original execution. Takes the
+    /// fields it touches, so the cached entry is read in place.
+    fn answer_from_cache(
+        stats: &ServerStats,
+        responses: &mut Vec<GemmResponse>,
+        p: PendingRequest,
+        cached: &CachedResult,
+    ) {
         let PendingRequest {
             id,
             enqueued_ns,
@@ -888,14 +893,12 @@ impl GemmServer {
             ..
         } = p;
         let wait_ns = clgemm_trace::now_ns().saturating_sub(enqueued_ns);
-        self.shared.stats.observe_queue_wait(wait_ns as f64 * 1e-9);
-        self.shared
-            .stats
-            .note_tenant_completed(&req.tenant, wait_ns as f64 * 1e-9);
-        self.shared.stats.record_coalesced(&cached.device, 1);
+        stats.observe_queue_wait(wait_ns as f64 * 1e-9);
+        stats.note_tenant_completed(&req.tenant, wait_ns as f64 * 1e-9);
+        stats.record_coalesced(&cached.device, 1);
         cached.c.write_into(&mut req.payload);
         clgemm_trace::event!("serve.request.coalesce_hit", id);
-        self.responses.push(GemmResponse {
+        responses.push(GemmResponse {
             id,
             batch: cached.batch,
             device: cached.device.clone(),
@@ -1581,6 +1584,65 @@ mod tests {
             }
             _ => panic!("wrong precision"),
         }
+    }
+
+    #[test]
+    fn followers_and_replays_keep_their_own_c() {
+        // The same logical request, with C stored at ld 29 and NaN in
+        // every gap.
+        let padded = || {
+            let mut req = request(24, 7);
+            if let GemmPayload::F64 { c, .. } = &mut req.payload {
+                let mut loose = Matrix::zeros_with_ld(24, 24, 29, StorageOrder::ColMajor);
+                loose.as_mut_slice().fill(f64::NAN);
+                for (d, s) in loose.lines_mut().zip(c.lines()) {
+                    d.copy_from_slice(s);
+                }
+                *c = loose;
+            }
+            req
+        };
+        let c_of = |r: &GemmResponse| match &r.payload {
+            GemmPayload::F64 { c, .. } => c.clone(),
+            GemmPayload::F32 { .. } => panic!("wrong precision"),
+        };
+        let check = |got: &Matrix<f64>, want: &Matrix<f64>, what: &str| {
+            assert_eq!(got.ld(), 29, "{what}: the request's own ld");
+            let bits = |m: &Matrix<f64>| -> Vec<u64> {
+                m.lines().flatten().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(got), bits(want), "{what}: logical elements");
+            let gaps = got.as_slice().iter().filter(|v| v.is_nan()).count();
+            assert_eq!(gaps, 29 * 24 - 24 * 24, "{what}: ld gaps untouched");
+        };
+
+        let mut alone = two_device_server(ServeConfig {
+            coalesce_idempotent: false,
+            ..Default::default()
+        });
+        alone.submit(padded()).unwrap();
+        alone.drain();
+        let want = c_of(&alone.take_responses()[0]);
+        check(&want, &want, "executed alone");
+
+        let mut server = two_device_server(ServeConfig::default());
+        server.submit(request(24, 7)).unwrap();
+        let follower = server.submit(padded()).unwrap();
+        assert_eq!(server.drain(), 2);
+        assert_eq!(server.stats().coalesce_hits, 1, "the padded copy follows");
+        let responses = server.take_responses();
+        let r = responses
+            .iter()
+            .find(|r| r.id == follower)
+            .expect("answered");
+        check(&c_of(r), &want, "in-drain follower");
+
+        let replayed = server.submit(padded()).unwrap();
+        assert_eq!(server.drain(), 1);
+        assert_eq!(server.stats().coalesce_hits, 2, "the repeat replays");
+        let r = server.take_responses().pop().expect("answered");
+        assert_eq!(r.id, replayed);
+        check(&c_of(&r), &want, "cross-drain replay");
     }
 
     #[test]

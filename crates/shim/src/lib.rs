@@ -12,8 +12,9 @@
 //! * [`rng`] — a seedable xoshiro256** generator with the handful of
 //!   sampling helpers the search strategies and property tests need
 //!   (replaces `rand` / `proptest`'s case generation).
-//! * [`par`] — scoped-thread data-parallel helpers (replaces the
-//!   `rayon` `par_iter`/`par_chunks_mut` call sites).
+//! * [`par`] — data-parallel helpers on one persistent, process-wide
+//!   thread pool (replaces the `rayon` `par_iter`/`par_chunks_mut` call
+//!   sites).
 //! * [`bench`] — a minimal wall-clock benchmark harness with median
 //!   reporting (replaces `criterion` for the `harness = false` benches).
 //! * [`simd`] — host CPU vector-width detection (the tiny slice of
@@ -22,6 +23,8 @@
 //!
 //! Everything here is std-only and deterministic where the replaced crate
 //! was deterministic.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bench;
 pub mod json;

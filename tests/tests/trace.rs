@@ -210,3 +210,41 @@ fn serving_emits_a_coherent_span_lifecycle_per_request() {
         .sum();
     assert_eq!(covered, ids.len());
 }
+
+/// Parallel calls reuse the pool's threads, so repeated calls leave at
+/// most one span ring per pool worker instead of registering (and
+/// never freeing) a fresh ring per spawned thread per call.
+#[test]
+fn repeated_parallel_calls_record_on_the_pool_threads() {
+    clgemm_trace::set_enabled(true);
+    let t0 = clgemm_trace::now_ns();
+    clgemm_trace::event!("pool_reuse.caller", 0);
+    let items: Vec<u64> = (0..4).collect();
+    for call in 0..100u64 {
+        clgemm_shim::par::par_map(&items, |_, &i| {
+            let _g = clgemm_trace::span!("pool_reuse.item", (call << 32) | i);
+        });
+    }
+    let events = events_since(t0);
+    let caller = events
+        .iter()
+        .find(|e| e.name == "pool_reuse.caller")
+        .expect("the caller's event")
+        .thread;
+    let items: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.name == "pool_reuse.item")
+        .collect();
+    assert_eq!(items.len(), 400, "one span per item");
+    let others: std::collections::HashSet<u32> = items
+        .iter()
+        .map(|e| e.thread)
+        .filter(|&t| t != caller)
+        .collect();
+    let workers = clgemm_shim::par::worker_count(usize::MAX);
+    assert!(
+        others.len() <= workers,
+        "{} threads besides the caller, pool size {workers}",
+        others.len()
+    );
+}
