@@ -9,16 +9,23 @@
 //! `BENCH_interp.json` at the repo root with per-case seconds and
 //! compiled-vs-reference speedups.
 //!
+//! It also records `Program::compile` seconds (best of 3) for the
+//! kernels perfbench's opencl-run workload builds: the twelve Table II
+//! winners and the direct kernel for its four GEMM-type jobs, as
+//! `interp/compile_*` rows.
+//!
 //! Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) times one launch per
 //! engine and **exits non-zero** unless the compiled engine is at least
 //! 10× faster than the reference on the large BA f32 case, and beats
 //! the reference on the direct f32 case by at least the speed-up of the
-//! fast VM it replaced there. The flagship case only runs when
-//! `CLGEMM_INTERP_FLAGSHIP=1` (it interprets a full 1024³ GEMM on the
-//! reference engine).
+//! fast VM it replaced there; it also exits non-zero if any Table II
+//! winner takes longer than 50 ms to compile. The flagship case only
+//! runs when `CLGEMM_INTERP_FLAGSHIP=1` (it interprets a full 1024³
+//! GEMM on the reference engine).
 
 use clgemm::codegen::{generate, KERNEL_NAME};
 use clgemm::direct::{generate_direct, DirectParams, DIRECT_KERNEL_NAME};
+use clgemm::paper_params::all_winners;
 use clgemm::params::{small_test_params, Algorithm, KernelParams};
 use clgemm_blas::layout::PackedDims;
 use clgemm_blas::scalar::Precision;
@@ -44,6 +51,20 @@ const FAST_VM_DIRECT_SPEEDUP: f64 = 9.5;
 
 /// Edge of the direct cases: a multiple of nothing the kernel blocks by.
 const DIRECT_EDGE: usize = 249;
+
+/// Smoke-gate ceiling on one Table II winner's `Program::compile`
+/// (best of 3). Before DCE found liveness with a worklist, the slowest,
+/// Bulldozer SGEMM (8,198 SSA ops out), took 155–187 ms on a 2-vCPU
+/// AVX-512 host; since, 14–19 ms.
+const TABLE_II_COMPILE_LIMIT_S: f64 = 0.050;
+
+/// The direct kernel's GEMM type and precision per opencl-run job.
+const DIRECT_JOBS: [(GemmType, Precision); 4] = [
+    (GemmType::NN, Precision::F32),
+    (GemmType::NT, Precision::F64),
+    (GemmType::TN, Precision::F32),
+    (GemmType::TT, Precision::F64),
+];
 
 struct Case {
     name: &'static str,
@@ -154,6 +175,43 @@ fn time_once(case: &mut Case, engine: Engine) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
+/// Best of three `Program::compile` calls on `source`, in seconds.
+fn compile_secs(source: &str) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(Program::compile(std::hint::black_box(source)).expect("compile"));
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `(row, compile seconds, is a Table II winner)` for every kernel
+/// opencl-run builds.
+fn compile_rows() -> Vec<(String, f64, bool)> {
+    let mut rows = Vec::new();
+    for e in all_winners() {
+        let gen = generate(&e.params).expect("Table II parameters generate");
+        let name = format!(
+            "interp/compile_table2_{:?}_{}",
+            e.device,
+            prec_tag(e.params.precision)
+        )
+        .to_lowercase();
+        rows.push((name, compile_secs(&gen.source), true));
+    }
+    for (ty, precision) in DIRECT_JOBS {
+        let p = DirectParams::default_for(ty, precision);
+        let gen = generate_direct(&p).expect("generate direct");
+        let name = format!("interp/compile_direct_{ty}_{}", prec_tag(precision)).to_lowercase();
+        rows.push((name, compile_secs(&gen.source), false));
+    }
+    for (name, secs, _) in &rows {
+        println!("{name}: {}", fmt_secs(*secs));
+    }
+    rows
+}
+
 fn params_for(algorithm: Algorithm, precision: Precision) -> KernelParams {
     let mut p = small_test_params(precision);
     p.algorithm = algorithm;
@@ -228,6 +286,17 @@ fn main() {
             fmt_secs(compiled),
             fmt_secs(reference)
         );
+        let slow: Vec<String> = compile_rows()
+            .into_iter()
+            .filter(|&(_, secs, table2)| table2 && secs > TABLE_II_COMPILE_LIMIT_S)
+            .map(|(name, secs, _)| format!("{name} {}", fmt_secs(secs)))
+            .collect();
+        assert!(
+            slow.is_empty(),
+            "Table II winners above the {} compile ceiling: {}",
+            fmt_secs(TABLE_II_COMPILE_LIMIT_S),
+            slow.join(", ")
+        );
         return;
     }
 
@@ -265,6 +334,11 @@ fn main() {
         }
     }
     rows.extend(h.results().iter().cloned());
+    rows.extend(
+        compile_rows()
+            .into_iter()
+            .map(|(name, secs, _)| (name, secs)),
+    );
 
     // Flagship: 1024³ f32 BA functional launch, one run per engine.
     // Gated behind an env var — the reference run interprets ~10¹⁰

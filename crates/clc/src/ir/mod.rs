@@ -208,24 +208,37 @@ impl Func {
 impl OpKind {
     /// Operand values, in a fixed order.
     pub fn operands(&self) -> Vec<Val> {
+        let mut out = Vec::new();
+        self.for_each_operand(|v| out.push(v));
+        out
+    }
+
+    /// Call `f` on every operand, in [`operands`](Self::operands)
+    /// order, without allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Val)) {
         match self {
-            OpKind::Const(_) => vec![],
+            OpKind::Const(_) => {}
             OpKind::Un(_, a)
             | OpKind::Convert(a, _)
             | OpKind::Broadcast(a, _)
             | OpKind::Extract(a, _)
             | OpKind::Wi(_, a)
             | OpKind::LoadGlobal { idx: a, .. }
-            | OpKind::LoadLocal { idx: a, .. } => vec![*a],
+            | OpKind::LoadLocal { idx: a, .. } => f(*a),
             OpKind::Bin(_, a, b)
             | OpKind::StoreGlobal { idx: a, src: b, .. }
-            | OpKind::StoreLocal { idx: a, src: b, .. } => vec![*a, *b],
-            OpKind::Insert(a, b, _) => vec![*a, *b],
-            OpKind::Mad(a, b, c) | OpKind::Select(a, b, c) | OpKind::MadLane(a, _, b, c) => {
-                vec![*a, *b, *c]
+            | OpKind::StoreLocal { idx: a, src: b, .. }
+            | OpKind::Insert(a, b, _) => {
+                f(*a);
+                f(*b);
             }
-            OpKind::Math(_, args, n) => args[..*n as usize].to_vec(),
-            OpKind::BuildVec(_, parts) => parts.clone(),
+            OpKind::Mad(a, b, c) | OpKind::Select(a, b, c) | OpKind::MadLane(a, _, b, c) => {
+                f(*a);
+                f(*b);
+                f(*c);
+            }
+            OpKind::Math(_, args, n) => args[..*n as usize].iter().copied().for_each(f),
+            OpKind::BuildVec(_, parts) => parts.iter().copied().for_each(f),
         }
     }
 
@@ -320,24 +333,40 @@ pub fn compile(k: &CompiledKernel) -> Result<trace::TracePlan, String> {
 /// Same decline reasons as [`compile`].
 pub fn compile_parts(k: &CompiledKernel) -> Result<(Func, trace::TracePlan), String> {
     let _span = clgemm_trace::span!("clc.compile");
-    let classes = crate::lower::assign_classes(k)
-        .ok_or_else(|| "register classes not assignable".to_string())?;
     let mut stats = CompileStats::default();
-    let mut f = build::build(k, &classes)?;
+    let mut f = {
+        let _s = clgemm_trace::span!("clc.compile.build");
+        let classes = crate::lower::assign_classes(k)
+            .ok_or_else(|| "register classes not assignable".to_string())?;
+        build::build(k, &classes)?
+    };
     stats.ops_in = count_ops(&f);
-    passes::simplify(&mut f, &mut stats);
-    passes::clean(&mut f, &mut stats);
-    passes::unroll(&mut f, &mut stats);
-    passes::simplify(&mut f, &mut stats);
-    passes::clean(&mut f, &mut stats);
-    passes::licm(&mut f, &mut stats);
-    passes::fuse(&mut f, &mut stats);
-    passes::clean(&mut f, &mut stats);
+    for (name, pass) in PIPELINE {
+        let _s = clgemm_trace::span!(name);
+        pass(&mut f, &mut stats);
+    }
     stats.ops_out = count_ops(&f);
-    let plan = trace::emit(k, &f, stats)?;
+    let plan = {
+        let _s = clgemm_trace::span!("clc.compile.emit");
+        trace::emit(k, &f, stats)?
+    };
     record_compile_metrics(&plan.stats);
     Ok((f, plan))
 }
+
+type Pass = fn(&mut Func, &mut CompileStats);
+
+/// The pass order, each under its own `clc.compile.<pass>` span.
+const PIPELINE: [(&str, Pass); 8] = [
+    ("clc.compile.simplify", passes::simplify),
+    ("clc.compile.clean", passes::clean),
+    ("clc.compile.unroll", passes::unroll),
+    ("clc.compile.simplify", passes::simplify),
+    ("clc.compile.clean", passes::clean),
+    ("clc.compile.licm", passes::licm),
+    ("clc.compile.fuse", passes::fuse),
+    ("clc.compile.clean", passes::clean),
+];
 
 fn count_ops(f: &Func) -> u64 {
     f.blocks.iter().map(|b| b.ops.len() as u64).sum()

@@ -2,8 +2,9 @@
 //!
 //! Ordering rationale (also documented in DESIGN.md):
 //!
-//! 1. `simplify` first — merging single-predecessor chains gives the
-//!    block-local passes bigger windows.
+//! 1. `simplify` first — dropping unreachable blocks and merging
+//!    single-predecessor chains gives the block-local passes bigger
+//!    windows.
 //! 2. `clean` (fold → CSE → DCE to a fixpoint) — folding uses the
 //!    reference interpreter's own arithmetic helpers, so folded
 //!    constants are bit-exact; integer-only algebraic identities
@@ -20,45 +21,72 @@
 //! frozen per-execution stats charge does not. Unrolling *copies*
 //! costs (header cost × T+1, body cost × T), which is exactly what
 //! the reference interpreter would have charged.
+//!
+//! Unrolled kernels are long straight-line blocks with long use
+//! chains, so every pass is kept near-linear in the ops it sees:
+//! `simplify` merges all `Br` chains in one sweep; DCE marks liveness
+//! with a worklist over def sites (each value is expanded once, however
+//! long the chain); CSE keys ops on a hashable structural key, with
+//! constants compared as bit patterns; and `fold`, `cse` and `simplify`
+//! keep their substitutions in dense per-value `Alias` tables.
 
 use super::{Block, CompileStats, Edge, Func, Op, OpKind, Term, Val};
 use crate::ast::{Base, BinOp};
 use crate::lower::{RegClass, WiFunc};
 use crate::vm::{self, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 // ---- shared helpers -------------------------------------------------------
 
-fn resolve(alias: &HashMap<Val, Val>, mut v: Val) -> Val {
-    while let Some(&n) = alias.get(&v) {
-        v = n;
-    }
-    v
+/// A dense value-substitution table, one slot per value.
+struct Alias {
+    to: Vec<Val>,
+    any: bool,
 }
 
-fn apply_alias(f: &mut Func, alias: &HashMap<Val, Val>) {
-    if alias.is_empty() {
-        return;
-    }
-    for b in &mut f.blocks {
-        for op in &mut b.ops {
-            op.kind.map_operands(&mut |v| resolve(alias, v));
+impl Alias {
+    const NONE: Val = Val::MAX;
+
+    fn new(f: &Func) -> Alias {
+        Alias {
+            to: vec![Alias::NONE; f.n_vals()],
+            any: false,
         }
-        match &mut b.term {
-            Term::CondBr { cond, t, f: fe } => {
-                *cond = resolve(alias, *cond);
-                for e in [t, fe] {
-                    for a in &mut e.args {
-                        *a = resolve(alias, *a);
-                    }
-                }
+    }
+
+    fn set(&mut self, v: Val, to: Val) {
+        self.to[v as usize] = to;
+        self.any = true;
+    }
+
+    fn resolve(&self, mut v: Val) -> Val {
+        loop {
+            match self.to[v as usize] {
+                Alias::NONE => return v,
+                n => v = n,
             }
-            Term::Br(e) | Term::Barrier { next: e, .. } => {
+        }
+    }
+
+    /// Rewrite every operand, condition and edge argument of `f`.
+    fn apply(&self, f: &mut Func) {
+        if !self.any {
+            return;
+        }
+        for b in &mut f.blocks {
+            for op in &mut b.ops {
+                op.kind.map_operands(&mut |v| self.resolve(v));
+            }
+            if let Term::CondBr { cond, .. } = &mut b.term {
+                *cond = self.resolve(*cond);
+            }
+            for e in b.term.edges_mut() {
                 for a in &mut e.args {
-                    *a = resolve(alias, *a);
+                    *a = self.resolve(*a);
                 }
             }
-            Term::Ret => {}
         }
     }
 }
@@ -157,44 +185,48 @@ fn eval_kind(kind: &OpKind, get: &dyn Fn(Val) -> Option<Value>) -> Option<Value>
 
 // ---- simplify: CFG cleanup ------------------------------------------------
 
-/// Remove unreachable blocks and merge single-predecessor `Br` chains.
+/// Remove unreachable blocks and merge single-predecessor `Br` chains,
+/// all in one sweep: each block absorbs its `Br` successor for as long
+/// as that successor has no other predecessor, and the absorbed block's
+/// parameters become aliases of the edge's arguments.
 pub fn simplify(f: &mut Func, st: &mut CompileStats) {
-    let mut alias: HashMap<Val, Val> = HashMap::new();
-    loop {
-        compact(f);
-        let preds = f.preds();
-        let mut cand = None;
-        for (b, blk) in f.blocks.iter().enumerate() {
-            if let Term::Br(e) = &blk.term {
-                if e.to != 0 && e.to != b && preds[e.to] == [b] {
-                    cand = Some((b, e.to));
-                    break;
+    compact(f);
+    let mut preds = f.preds();
+    let mut alias = Alias::new(f);
+    for b in 0..f.blocks.len() {
+        while let Term::Br(e) = &f.blocks[b].term {
+            let c = e.to;
+            if c == 0 || c == b || preds[c] != [b] {
+                break;
+            }
+            let cblk = std::mem::replace(
+                &mut f.blocks[c],
+                Block {
+                    params: vec![],
+                    ops: vec![],
+                    term: Term::Ret,
+                    cost: super::Cost::default(),
+                },
+            );
+            let Term::Br(e) = std::mem::replace(&mut f.blocks[b].term, cblk.term) else {
+                unreachable!("matched above");
+            };
+            for (p, a) in cblk.params.iter().zip(&e.args) {
+                alias.set(*p, alias.resolve(*a));
+            }
+            for s in f.blocks[b].term.edges() {
+                for x in &mut preds[s.to] {
+                    if *x == c {
+                        *x = b;
+                    }
                 }
             }
+            f.blocks[b].ops.extend(cblk.ops);
+            f.blocks[b].cost.add(&cblk.cost);
+            st.blocks_merged += 1;
         }
-        let Some((b, c)) = cand else { break };
-        let cblk = std::mem::replace(
-            &mut f.blocks[c],
-            Block {
-                params: vec![],
-                ops: vec![],
-                term: Term::Ret,
-                cost: super::Cost::default(),
-            },
-        );
-        let Term::Br(e) = std::mem::replace(&mut f.blocks[b].term, Term::Ret) else {
-            unreachable!("candidate checked above");
-        };
-        for (p, a) in cblk.params.iter().zip(&e.args) {
-            alias.insert(*p, resolve(&alias, *a));
-        }
-        f.blocks[b].ops.extend(cblk.ops);
-        f.blocks[b].term = cblk.term;
-        f.blocks[b].cost.add(&cblk.cost);
-        st.blocks_merged += 1;
-        apply_alias(f, &alias);
     }
-    apply_alias(f, &alias);
+    alias.apply(f);
     compact(f);
 }
 
@@ -254,11 +286,11 @@ pub fn clean(f: &mut Func, st: &mut CompileStats) {
 fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
     let mut changed = false;
     let mut konst = konst_map(f);
-    let mut alias: HashMap<Val, Val> = HashMap::new();
+    let mut alias = Alias::new(f);
     for bi in 0..f.blocks.len() {
         let mut ops = std::mem::take(&mut f.blocks[bi].ops);
         ops.retain_mut(|op| {
-            op.kind.map_operands(&mut |v| resolve(&alias, v));
+            op.kind.map_operands(&mut |v| alias.resolve(v));
             let Some(d) = op.dst else { return true };
             if matches!(op.kind, OpKind::Const(_)) {
                 return true;
@@ -266,7 +298,7 @@ fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
             // Identity conversions and Select with a constant
             // condition become pure aliases.
             if let Some(src) = alias_of(&op.kind, &f.classes, &konst) {
-                alias.insert(d, resolve(&alias, src));
+                alias.set(d, alias.resolve(src));
                 st.folded += 1;
                 changed = true;
                 return false;
@@ -282,7 +314,7 @@ fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
         });
         f.blocks[bi].ops = ops;
     }
-    apply_alias(f, &alias);
+    alias.apply(f);
     changed
 }
 
@@ -329,31 +361,67 @@ fn alias_of(kind: &OpKind, classes: &[RegClass], konst: &[Option<Value>]) -> Opt
     }
 }
 
-/// A CSE key for a pure op. Constants key on exact bit patterns so
-/// distinct NaN payloads never merge.
-fn cse_key(kind: &OpKind) -> String {
-    match kind {
-        OpKind::Const(v) => match v {
-            Value::I(x) => format!("ci:{x}"),
-            Value::B(x) => format!("cb:{x}"),
-            Value::F32(x) => format!("cf:{:08x}", x.to_bits()),
-            Value::F64(x) => format!("cd:{:016x}", x.to_bits()),
+/// Bit pattern of a constant over its live lanes, tagged by kind.
+#[derive(PartialEq, Eq, Hash)]
+enum ConstBits {
+    I(i64),
+    B(bool),
+    F32(u32),
+    F64(u64),
+    V32([u32; 16], u8),
+    V64([u64; 16], u8),
+}
+
+impl ConstBits {
+    fn of(v: &Value) -> ConstBits {
+        match *v {
+            Value::I(x) => ConstBits::I(x),
+            Value::B(x) => ConstBits::B(x),
+            Value::F32(x) => ConstBits::F32(x.to_bits()),
+            Value::F64(x) => ConstBits::F64(x.to_bits()),
             Value::V32(xs, w) => {
-                let lanes: Vec<String> = xs[..*w as usize]
-                    .iter()
-                    .map(|x| format!("{:08x}", x.to_bits()))
-                    .collect();
-                format!("cv32:{}", lanes.join(","))
+                let mut bits = [0; 16];
+                for (b, x) in bits.iter_mut().zip(&xs[..w as usize]) {
+                    *b = x.to_bits();
+                }
+                ConstBits::V32(bits, w)
             }
             Value::V64(xs, w) => {
-                let lanes: Vec<String> = xs[..*w as usize]
-                    .iter()
-                    .map(|x| format!("{:016x}", x.to_bits()))
-                    .collect();
-                format!("cv64:{}", lanes.join(","))
+                let mut bits = [0; 16];
+                for (b, x) in bits.iter_mut().zip(&xs[..w as usize]) {
+                    *b = x.to_bits();
+                }
+                ConstBits::V64(bits, w)
             }
-        },
-        other => format!("{other:?}"),
+        }
+    }
+}
+
+/// A pure op as a CSE key. Constants compare by kind and bit pattern
+/// over their live lanes, so NaN payloads, ±0.0, `I(1)`/`B(true)` and
+/// vectors of different widths stay apart; every other op compares by
+/// its derived equality (operator, operands and immediates), which
+/// holds no floats.
+struct CseKey(OpKind);
+
+impl PartialEq for CseKey {
+    fn eq(&self, other: &CseKey) -> bool {
+        match (&self.0, &other.0) {
+            (OpKind::Const(a), OpKind::Const(b)) => ConstBits::of(a) == ConstBits::of(b),
+            (a, b) => a == b,
+        }
+    }
+}
+
+impl Eq for CseKey {}
+
+impl Hash for CseKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(&self.0).hash(h);
+        match &self.0 {
+            OpKind::Const(v) => ConstBits::of(v).hash(h),
+            kind => kind.for_each_operand(|v| v.hash(h)),
+        }
     }
 }
 
@@ -364,51 +432,46 @@ fn cse_key(kind: &OpKind) -> String {
 /// which would have trapped at the first occurrence already.
 fn cse(f: &mut Func, st: &mut CompileStats) -> bool {
     let mut changed = false;
-    let mut alias: HashMap<Val, Val> = HashMap::new();
+    let mut alias = Alias::new(f);
+    let mut seen: HashMap<CseKey, Val> = HashMap::new();
     for b in &mut f.blocks {
-        let mut seen: HashMap<String, Val> = HashMap::new();
+        seen.clear();
+        seen.reserve(b.ops.len());
         b.ops.retain_mut(|op| {
-            op.kind.map_operands(&mut |v| resolve(&alias, v));
+            op.kind.map_operands(&mut |v| alias.resolve(v));
             let Some(d) = op.dst else { return true };
             if op.kind.is_mem() {
                 return true;
             }
-            let key = cse_key(&op.kind);
-            match seen.get(&key) {
-                Some(&prev) => {
-                    alias.insert(d, prev);
+            match seen.entry(CseKey(op.kind.clone())) {
+                Entry::Occupied(prev) => {
+                    alias.set(d, *prev.get());
                     st.cse += 1;
                     changed = true;
                     false
                 }
-                None => {
-                    seen.insert(key, d);
+                Entry::Vacant(slot) => {
+                    slot.insert(d);
                     true
                 }
             }
         });
     }
-    apply_alias(f, &alias);
+    alias.apply(f);
     changed
 }
 
 /// Dead-code elimination over ops and block parameters. Memory ops and
 /// possibly-trapping ops are roots (removing them would remove a
 /// bounds/race/arithmetic error the reference interpreter raises).
+///
+/// Liveness is the least fixpoint of "a terminator reads it, or a live
+/// op takes it as an operand", found by a worklist over def sites:
+/// every value is marked and expanded once, so the cost is linear in
+/// the function however long its use chains.
 fn dce(f: &mut Func, st: &mut CompileStats) -> bool {
     let konst = konst_map(f);
     let n = f.n_vals();
-    let mut used = vec![false; n];
-    for b in &f.blocks {
-        if let Term::CondBr { cond, .. } = &b.term {
-            used[*cond as usize] = true;
-        }
-        for e in b.term.edges() {
-            for &a in &e.args {
-                used[a as usize] = true;
-            }
-        }
-    }
     let is_root = |kind: &OpKind| -> bool {
         if kind.is_mem() {
             return true;
@@ -424,24 +487,35 @@ fn dce(f: &mut Func, st: &mut CompileStats) -> bool {
             _ => false,
         }
     };
-    // Fixpoint: mark operands of every live op.
-    loop {
-        let mut grew = false;
-        for b in &f.blocks {
-            for op in &b.ops {
-                let live = is_root(&op.kind) || op.dst.is_some_and(|d| used[d as usize]);
-                if live {
-                    for v in op.kind.operands() {
-                        if !used[v as usize] {
-                            used[v as usize] = true;
-                            grew = true;
-                        }
-                    }
-                }
+    let mut used = vec![false; n];
+    let mut work: Vec<Val> = Vec::new();
+    let mark = |used: &mut [bool], work: &mut Vec<Val>, v: Val| {
+        if !std::mem::replace(&mut used[v as usize], true) {
+            work.push(v);
+        }
+    };
+    let mut def: Vec<Option<&OpKind>> = vec![None; n];
+    for b in &f.blocks {
+        if let Term::CondBr { cond, .. } = &b.term {
+            mark(&mut used, &mut work, *cond);
+        }
+        for e in b.term.edges() {
+            for &a in &e.args {
+                mark(&mut used, &mut work, a);
             }
         }
-        if !grew {
-            break;
+        for op in &b.ops {
+            if let Some(d) = op.dst {
+                def[d as usize] = Some(&op.kind);
+            }
+            if is_root(&op.kind) {
+                op.kind.for_each_operand(|v| mark(&mut used, &mut work, v));
+            }
+        }
+    }
+    while let Some(v) = work.pop() {
+        if let Some(kind) = def[v as usize] {
+            kind.for_each_operand(|u| mark(&mut used, &mut work, u));
         }
     }
     let mut changed = false;
@@ -453,31 +527,23 @@ fn dce(f: &mut Func, st: &mut CompileStats) -> bool {
         st.dce += removed as u64;
         changed |= removed > 0;
     }
-    // Prune dead block parameters (and the matching edge arguments).
+    // Prune dead block parameters and the matching edge arguments.
     for bi in 0..f.blocks.len() {
-        let keep: Vec<bool> = f.blocks[bi]
-            .params
-            .iter()
-            .map(|&p| used[p as usize])
-            .collect();
-        if keep.iter().all(|&k| k) {
-            continue;
+        let mut term = std::mem::replace(&mut f.blocks[bi].term, Term::Ret);
+        for e in term.edges_mut() {
+            let mut params = f.blocks[e.to].params.iter();
+            e.args
+                .retain(|_| used[*params.next().expect("one argument per parameter") as usize]);
         }
-        changed = true;
-        let mut it = keep.iter();
-        f.blocks[bi].params.retain(|_| *it.next().expect("mask"));
-        if bi == 0 {
-            let mut it = keep.iter();
-            f.entry_regs.retain(|_| *it.next().expect("mask"));
-        }
-        for b in 0..f.blocks.len() {
-            for e in f.blocks[b].term.edges_mut() {
-                if e.to == bi {
-                    let mut it = keep.iter();
-                    e.args.retain(|_| *it.next().expect("mask"));
-                }
-            }
-        }
+        f.blocks[bi].term = term;
+    }
+    let mut entry = f.blocks[0].params.iter();
+    f.entry_regs
+        .retain(|_| used[*entry.next().expect("one register per entry parameter") as usize]);
+    for b in &mut f.blocks {
+        let before = b.params.len();
+        b.params.retain(|&p| used[p as usize]);
+        changed |= b.params.len() != before;
     }
     changed
 }
@@ -827,11 +893,11 @@ pub fn licm(f: &mut Func, st: &mut CompileStats) {
                 let ops = std::mem::take(&mut f.blocks[bi].ops);
                 let mut kept = Vec::with_capacity(ops.len());
                 for op in ops {
-                    let invariant = hoistable(&op.kind)
-                        && op.kind.operands().iter().all(|&v| {
-                            let dv = def[v as usize];
-                            dv >= nb || !in_loop[dv]
-                        });
+                    let mut invariant = hoistable(&op.kind);
+                    op.kind.for_each_operand(|v| {
+                        let dv = def[v as usize];
+                        invariant &= dv >= nb || !in_loop[dv];
+                    });
                     if invariant {
                         if let Some(d) = op.dst {
                             def[d as usize] = pre;
@@ -901,5 +967,263 @@ pub fn fuse(f: &mut Func, st: &mut CompileStats) {
             op.kind = OpKind::MadLane(vec, lane, mul, c0);
             st.fused += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::Cost;
+
+    /// Builds a function whose entry block is block 0.
+    struct Fb(Func);
+
+    impl Fb {
+        fn new(n_blocks: usize) -> Fb {
+            let block = Block {
+                params: vec![],
+                ops: vec![],
+                term: Term::Ret,
+                cost: Cost::default(),
+            };
+            Fb(Func {
+                blocks: vec![block; n_blocks],
+                classes: vec![],
+                entry_regs: vec![],
+            })
+        }
+
+        fn param(&mut self, b: usize, class: RegClass) -> Val {
+            let v = self.0.new_val(class);
+            self.0.blocks[b].params.push(v);
+            if b == 0 {
+                self.0.entry_regs.push(v as usize);
+            }
+            v
+        }
+
+        fn op(&mut self, b: usize, class: RegClass, kind: OpKind) -> Val {
+            let v = self.0.new_val(class);
+            self.0.blocks[b].ops.push(Op { dst: Some(v), kind });
+            v
+        }
+
+        fn store(&mut self, b: usize, idx: Val, src: Val) {
+            self.0.blocks[b].ops.push(Op {
+                dst: None,
+                kind: OpKind::StoreGlobal {
+                    buf: 0,
+                    idx,
+                    src,
+                    width: 1,
+                },
+            });
+        }
+
+        /// A chain `v = v + 1`, `n` ops long, starting from `x`.
+        fn chain(&mut self, x: Val, n: usize) -> Val {
+            let one = self.op(0, RegClass::Int, OpKind::Const(Value::I(1)));
+            (0..n).fold(x, |v, _| {
+                self.op(0, RegClass::Int, OpKind::Bin(BinOp::Add, v, one))
+            })
+        }
+    }
+
+    fn kinds(f: &Func, b: usize) -> Vec<OpKind> {
+        f.blocks[b].ops.iter().map(|op| op.kind.clone()).collect()
+    }
+
+    #[test]
+    fn cse_merges_equal_pure_ops_and_constants() {
+        let mut fb = Fb::new(1);
+        let x = fb.param(0, RegClass::Int);
+        let c1 = fb.op(0, RegClass::Int, OpKind::Const(Value::I(7)));
+        let c2 = fb.op(0, RegClass::Int, OpKind::Const(Value::I(7)));
+        let a1 = fb.op(0, RegClass::Int, OpKind::Bin(BinOp::Add, x, c1));
+        let a2 = fb.op(0, RegClass::Int, OpKind::Bin(BinOp::Add, x, c2));
+        fb.store(0, a1, a2);
+        let mut st = CompileStats::default();
+        assert!(cse(&mut fb.0, &mut st));
+        assert_eq!(st.cse, 2);
+        assert_eq!(
+            kinds(&fb.0, 0),
+            [
+                OpKind::Const(Value::I(7)),
+                OpKind::Bin(BinOp::Add, x, c1),
+                OpKind::StoreGlobal {
+                    buf: 0,
+                    idx: a1,
+                    src: a1,
+                    width: 1
+                },
+            ]
+        );
+        assert!(!cse(&mut fb.0, &mut st), "a second run finds nothing");
+    }
+
+    #[test]
+    fn cse_keeps_distinct_bit_patterns_apart() {
+        let v32 = |xs: &[f32]| Value::v32(xs);
+        let pairs = [
+            (
+                Value::F32(f32::from_bits(0x7fc0_0001)),
+                Value::F32(f32::from_bits(0x7fc0_0002)),
+            ),
+            (Value::F32(0.0), Value::F32(-0.0)),
+            (Value::F64(0.0), Value::F64(-0.0)),
+            (Value::I(1), Value::B(true)),
+            (v32(&[1.0, 2.0]), v32(&[1.0, 3.0])),
+            (v32(&[1.0, 2.0]), v32(&[1.0, 2.0, 0.0])),
+        ];
+        for (a, b) in pairs {
+            let mut fb = Fb::new(1);
+            fb.op(0, RegClass::Int, OpKind::Const(a));
+            fb.op(0, RegClass::Int, OpKind::Const(b));
+            let mut st = CompileStats::default();
+            assert!(!cse(&mut fb.0, &mut st), "{a:?} merged with {b:?}");
+            assert_eq!(fb.0.blocks[0].ops.len(), 2);
+        }
+        // The same NaN payload twice is one constant.
+        let mut fb = Fb::new(1);
+        let nan = Value::F32(f32::from_bits(0x7fc0_0001));
+        fb.op(0, RegClass::F32, OpKind::Const(nan));
+        fb.op(0, RegClass::F32, OpKind::Const(nan));
+        let mut st = CompileStats::default();
+        assert!(cse(&mut fb.0, &mut st));
+        assert_eq!(st.cse, 1);
+    }
+
+    #[test]
+    fn cse_never_merges_loads_or_stores() {
+        let mut fb = Fb::new(1);
+        let x = fb.param(0, RegClass::Int);
+        let load = OpKind::LoadGlobal {
+            buf: 0,
+            idx: x,
+            width: 1,
+        };
+        let l1 = fb.op(0, RegClass::F32, load.clone());
+        let l2 = fb.op(0, RegClass::F32, load);
+        fb.store(0, x, l1);
+        fb.store(0, x, l1);
+        let mut st = CompileStats::default();
+        assert!(!cse(&mut fb.0, &mut st));
+        assert_eq!(fb.0.blocks[0].ops.len(), 4);
+        assert_eq!(fb.0.blocks[0].ops[1].dst, Some(l2));
+    }
+
+    #[test]
+    fn dce_removes_a_long_dead_chain() {
+        let mut fb = Fb::new(1);
+        let x = fb.param(0, RegClass::Int);
+        fb.chain(x, 10_000);
+        fb.store(0, x, x);
+        let mut st = CompileStats::default();
+        assert!(dce(&mut fb.0, &mut st));
+        assert_eq!(st.dce, 10_001, "the chain and its constant");
+        assert_eq!(fb.0.blocks[0].ops.len(), 1);
+    }
+
+    #[test]
+    fn dce_keeps_a_long_chain_that_feeds_a_store() {
+        let mut fb = Fb::new(1);
+        let x = fb.param(0, RegClass::Int);
+        let last = fb.chain(x, 10_000);
+        fb.store(0, x, last);
+        let before = fb.0.clone();
+        let mut st = CompileStats::default();
+        assert!(!dce(&mut fb.0, &mut st));
+        assert_eq!(st.dce, 0);
+        assert_eq!(fb.0, before);
+    }
+
+    #[test]
+    fn dce_keeps_possibly_trapping_ops() {
+        let mut fb = Fb::new(1);
+        let x = fb.param(0, RegClass::Int);
+        let int = |fb: &mut Fb, k| fb.op(0, RegClass::Int, OpKind::Const(Value::I(k)));
+        let (zero, three, five) = (int(&mut fb, 0), int(&mut fb, 3), int(&mut fb, 5));
+        let trapping = [
+            OpKind::Bin(BinOp::Div, x, x),
+            OpKind::Bin(BinOp::Rem, x, zero),
+            OpKind::Wi(WiFunc::GlobalId, x),
+            OpKind::Wi(WiFunc::GlobalId, five),
+        ];
+        let safe = [
+            OpKind::Bin(BinOp::Div, x, three),
+            OpKind::Bin(BinOp::Rem, x, three),
+            OpKind::Wi(WiFunc::GlobalId, zero),
+        ];
+        for kind in trapping.iter().chain(&safe) {
+            fb.op(0, RegClass::Int, kind.clone());
+        }
+        let mut st = CompileStats::default();
+        dce(&mut fb.0, &mut st);
+        let mut want = vec![OpKind::Const(Value::I(0)), OpKind::Const(Value::I(5))];
+        want.extend(trapping);
+        assert_eq!(kinds(&fb.0, 0), want);
+    }
+
+    #[test]
+    fn dce_prunes_a_dead_block_parameter_with_its_edge_arguments() {
+        let mut fb = Fb::new(2);
+        let a = fb.op(0, RegClass::Int, OpKind::Const(Value::I(1)));
+        let b = fb.op(0, RegClass::Int, OpKind::Const(Value::I(2)));
+        let p = fb.param(1, RegClass::Int);
+        fb.param(1, RegClass::Int);
+        fb.store(1, p, p);
+        fb.0.blocks[0].term = Term::Br(Edge {
+            to: 1,
+            args: vec![a, b],
+        });
+        let mut st = CompileStats::default();
+        assert!(dce(&mut fb.0, &mut st));
+        assert_eq!(fb.0.blocks[1].params, [p]);
+        assert_eq!(
+            fb.0.blocks[0].term,
+            Term::Br(Edge {
+                to: 1,
+                args: vec![a]
+            })
+        );
+        // The pruned argument's definition dies on the next run.
+        assert!(dce(&mut fb.0, &mut st));
+        assert_eq!(kinds(&fb.0, 0), [OpKind::Const(Value::I(1))]);
+    }
+
+    #[test]
+    fn simplify_merges_a_chain_out_of_block_order() {
+        // 0 → 2 → 1, each edge passing one value on.
+        let mut fb = Fb::new(3);
+        let x = fb.param(0, RegClass::Int);
+        let p2 = fb.param(2, RegClass::Int);
+        let y = fb.op(2, RegClass::Int, OpKind::Un(crate::ast::UnOp::Neg, p2));
+        let p1 = fb.param(1, RegClass::Int);
+        fb.store(1, p1, p1);
+        fb.0.blocks[0].term = Term::Br(Edge {
+            to: 2,
+            args: vec![x],
+        });
+        fb.0.blocks[2].term = Term::Br(Edge {
+            to: 1,
+            args: vec![y],
+        });
+        let mut st = CompileStats::default();
+        simplify(&mut fb.0, &mut st);
+        assert_eq!(st.blocks_merged, 2);
+        assert_eq!(fb.0.blocks.len(), 1);
+        assert_eq!(fb.0.blocks[0].term, Term::Ret);
+        assert_eq!(
+            kinds(&fb.0, 0),
+            [
+                OpKind::Un(crate::ast::UnOp::Neg, x),
+                OpKind::StoreGlobal {
+                    buf: 0,
+                    idx: y,
+                    src: y,
+                    width: 1
+                },
+            ]
+        );
     }
 }

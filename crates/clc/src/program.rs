@@ -121,9 +121,18 @@ pub struct Program {
 impl Program {
     /// Compile source: preprocess → lex → parse → check → lower.
     pub fn compile(src: &str) -> Result<Program, CompileError> {
-        let unit = parse(src)?;
-        let checked = check(&unit)?;
-        let kernels = lower(&checked)?;
+        let unit = {
+            let _s = clgemm_trace::span!("clc.parse");
+            parse(src)?
+        };
+        let checked = {
+            let _s = clgemm_trace::span!("clc.check");
+            check(&unit)?
+        };
+        let kernels = {
+            let _s = clgemm_trace::span!("clc.lower");
+            lower(&checked)?
+        };
         Ok(Program {
             source: src.to_string(),
             kernels,

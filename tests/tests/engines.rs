@@ -13,68 +13,14 @@
 
 use clgemm::codegen::{generate, KERNEL_NAME};
 use clgemm::direct::{generate_direct, DirectParams, DIRECT_KERNEL_NAME};
-use clgemm::params::{Algorithm, KernelParams, StrideMode};
-use clgemm_blas::layout::{BlockLayout, PackedDims};
+use clgemm::params::KernelParams;
+use clgemm_blas::layout::PackedDims;
 use clgemm_blas::scalar::Precision;
 use clgemm_blas::{GemmType, Trans};
 use clgemm_clc::vm::DynStats;
 use clgemm_clc::{Arg, BufData, Engine, ExecOptions, Kernel, NdRange, Program, RuntimeError};
+use clgemm_integration::valid_params;
 use clgemm_shim::Rng;
-
-/// Draw a valid parameter set (same constructive generator as the
-/// props suite: divisibility holds by construction, resource limits by
-/// retry).
-fn valid_params(rng: &mut Rng) -> KernelParams {
-    loop {
-        let mdimc = rng.range(2, 9);
-        let ndimc = rng.range(2, 9);
-        let mwi = rng.range(1, 5);
-        let nwi = *rng.choose(&[2usize, 4]).unwrap();
-        let kblocks = rng.range(1, 4);
-        let kwi = *rng.choose(&[1usize, 2]).unwrap();
-        let vw = *rng.choose(&[1usize, 2]).unwrap();
-        if !nwi.is_multiple_of(vw) {
-            continue;
-        }
-        let algorithm = *rng.choose(&Algorithm::ALL).unwrap();
-        let la = rng.range(0, 3);
-        let lb = rng.range(0, 3);
-        let p = KernelParams {
-            mwg: mdimc * mwi,
-            nwg: ndimc * nwi,
-            kwg: kblocks * kwi * 2,
-            mdimc,
-            ndimc,
-            kwi,
-            mdima: mdimc,
-            ndimb: ndimc,
-            vw,
-            stride_m: if rng.bool() {
-                StrideMode::Unit
-            } else {
-                StrideMode::NonUnit
-            },
-            stride_n: if rng.bool() {
-                StrideMode::Unit
-            } else {
-                StrideMode::NonUnit
-            },
-            local_a: algorithm != Algorithm::Ba || la == 0,
-            local_b: algorithm != Algorithm::Ba || lb == 0,
-            layout_a: BlockLayout::ALL[la],
-            layout_b: BlockLayout::ALL[lb],
-            algorithm,
-            precision: if rng.bool() {
-                Precision::F64
-            } else {
-                Precision::F32
-            },
-        };
-        if p.validate().is_ok() {
-            return p;
-        }
-    }
-}
 
 /// Exact bit pattern of a buffer, so `-0.0 != 0.0` and NaN payloads
 /// count (PartialEq on floats would blur both).

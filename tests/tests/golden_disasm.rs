@@ -1,4 +1,4 @@
-//! Golden-file check for the compiled engine's disassembly.
+//! Golden-file checks for the compiled engine's disassembly.
 //!
 //! The flagship kernel (BA, f32, the `small_test_params` tile set used
 //! by the 1024³ acceptance case) is compiled through the SSA pipeline
@@ -7,18 +7,30 @@
 //! file. Any pass or allocator change that moves the schedule shows up
 //! here as a reviewable diff instead of a silent perf change.
 //!
-//! Regenerate after an intentional change with:
+//! A wider corpus — the twelve Table II winners, the copy-free direct
+//! kernel for every GEMM type and precision, and 200 seeded random
+//! parameter sets — is pinned by one FNV-1a 64 digest of each kernel's
+//! disassembly, so a compiler change that claims not to move any plan
+//! can prove it.
+//!
+//! Regenerate both after an intentional change with:
 //!
 //! ```text
 //! CLGEMM_BLESS=1 cargo test -p clgemm-integration --test golden_disasm
 //! ```
 
 use clgemm::codegen::{generate, KERNEL_NAME};
+use clgemm::direct::{generate_direct, DirectParams, DIRECT_KERNEL_NAME};
+use clgemm::paper_params::all_winners;
 use clgemm::params::{small_test_params, Algorithm};
 use clgemm_blas::scalar::Precision;
+use clgemm_blas::GemmType;
 use clgemm_clc::Program;
+use clgemm_integration::valid_params;
+use clgemm_shim::Rng;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/flagship_ba_f32.ir");
+const CORPUS_DIGEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/ir_corpus.digest");
 
 #[test]
 fn flagship_disassembly_matches_golden_file() {
@@ -55,4 +67,72 @@ fn flagship_disassembly_matches_golden_file() {
             want.lines().count()
         );
     }
+}
+
+/// FNV-1a, 64-bit: a stable, dependency-free fingerprint of one text.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `disassemble_ir` of the named kernel in `source`.
+fn disasm(source: &str, name: &str) -> String {
+    let prog = Program::compile(source).expect("compile");
+    let kernel = prog.kernel(name).expect("kernel present");
+    clgemm_clc::disassemble_ir(kernel.compiled())
+        .unwrap_or_else(|e| panic!("trace compiler declined {name}: {e}"))
+}
+
+/// `(label, disassembly)` for every corpus kernel, in a fixed order.
+fn corpus() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for e in all_winners() {
+        let gen = generate(&e.params).expect("Table II parameters generate");
+        let label = format!("table2/{:?}/{:?}", e.device, e.params.precision);
+        out.push((label, disasm(&gen.source, KERNEL_NAME)));
+    }
+    for ty in GemmType::ALL {
+        for precision in [Precision::F32, Precision::F64] {
+            let p = DirectParams::default_for(ty, precision);
+            let gen = generate_direct(&p).expect("default direct parameters generate");
+            let label = format!("direct/{ty}/{precision:?}");
+            out.push((label, disasm(&gen.source, DIRECT_KERNEL_NAME)));
+        }
+    }
+    let mut rng = Rng::new(0x1D15_A55E);
+    for i in 0..200 {
+        let p = valid_params(&mut rng);
+        let gen = generate(&p).expect("valid parameters generate");
+        out.push((format!("random/{i:03}"), disasm(&gen.source, KERNEL_NAME)));
+    }
+    out
+}
+
+#[test]
+fn corpus_disassembly_matches_digest_file() {
+    let got: String = corpus()
+        .iter()
+        .map(|(label, text)| format!("{label} {:016x}\n", fnv1a64(text)))
+        .collect();
+    if std::env::var_os("CLGEMM_BLESS").is_some() {
+        std::fs::write(CORPUS_DIGEST, &got).expect("write digest file");
+        return;
+    }
+    let want = std::fs::read_to_string(CORPUS_DIGEST)
+        .expect("digest file missing — run once with CLGEMM_BLESS=1");
+    let moved: Vec<&str> = got
+        .lines()
+        .zip(want.lines())
+        .filter(|(g, w)| g != w)
+        .map(|(g, _)| g.split_once(' ').map_or(g, |(label, _)| label))
+        .collect();
+    assert!(
+        moved.is_empty() && got.lines().count() == want.lines().count(),
+        "disassembly moved for {} of {} kernels: {} \
+         (regenerate with CLGEMM_BLESS=1 if intentional)",
+        moved.len(),
+        got.lines().count(),
+        moved.join(", ")
+    );
 }

@@ -8,7 +8,7 @@
 //! Cases are generated from a seeded [`clgemm_shim::Rng`], so every run
 //! exercises the same inputs and failures reproduce deterministically.
 
-use clgemm::params::{Algorithm, KernelParams, StrideMode};
+use clgemm::params::Algorithm;
 use clgemm::profile::launch_profile;
 use clgemm::tuner::search::verify_kernel;
 use clgemm_blas::layout::{round_up, BlockLayout};
@@ -17,62 +17,8 @@ use clgemm_blas::pack::{pack_operand, unpack_operand, PackSpec};
 use clgemm_blas::scalar::Precision;
 use clgemm_blas::Trans;
 use clgemm_device::{estimate, DeviceId};
+use clgemm_integration::valid_params;
 use clgemm_shim::Rng;
-
-/// Draw a *valid* kernel parameter set (built from factors so every
-/// divisibility constraint holds by construction). Retries until the
-/// resource validator accepts the draw.
-fn valid_params(rng: &mut Rng) -> KernelParams {
-    loop {
-        let mdimc = rng.range(2, 9);
-        let ndimc = rng.range(2, 9);
-        let mwi = rng.range(1, 5);
-        let nwi = *rng.choose(&[2usize, 4]).unwrap();
-        let kblocks = rng.range(1, 4);
-        let kwi = *rng.choose(&[1usize, 2]).unwrap();
-        let vw = *rng.choose(&[1usize, 2]).unwrap();
-        if !nwi.is_multiple_of(vw) {
-            continue;
-        }
-        let algorithm = *rng.choose(&Algorithm::ALL).unwrap();
-        let la = rng.range(0, 3);
-        let lb = rng.range(0, 3);
-        let p = KernelParams {
-            mwg: mdimc * mwi,
-            nwg: ndimc * nwi,
-            kwg: kblocks * kwi * 2,
-            mdimc,
-            ndimc,
-            kwi,
-            mdima: mdimc,
-            ndimb: ndimc,
-            vw,
-            stride_m: if rng.bool() {
-                StrideMode::Unit
-            } else {
-                StrideMode::NonUnit
-            },
-            stride_n: if rng.bool() {
-                StrideMode::Unit
-            } else {
-                StrideMode::NonUnit
-            },
-            local_a: algorithm != Algorithm::Ba || la == 0,
-            local_b: algorithm != Algorithm::Ba || lb == 0,
-            layout_a: BlockLayout::ALL[la],
-            layout_b: BlockLayout::ALL[lb],
-            algorithm,
-            precision: if rng.bool() {
-                Precision::F64
-            } else {
-                Precision::F32
-            },
-        };
-        if p.validate().is_ok() {
-            return p;
-        }
-    }
-}
 
 /// The flagship property: every valid parameter set survives the
 /// paper's pipeline — generation, compilation, VM execution — and
