@@ -357,12 +357,10 @@ pub fn compile_parts(k: &CompiledKernel) -> Result<(Func, trace::TracePlan), Str
 type Pass = fn(&mut Func, &mut CompileStats);
 
 /// The pass order, each under its own `clc.compile.<pass>` span.
-const PIPELINE: [(&str, Pass); 8] = [
+const PIPELINE: [(&str, Pass); 6] = [
     ("clc.compile.simplify", passes::simplify),
     ("clc.compile.clean", passes::clean),
     ("clc.compile.unroll", passes::unroll),
-    ("clc.compile.simplify", passes::simplify),
-    ("clc.compile.clean", passes::clean),
     ("clc.compile.licm", passes::licm),
     ("clc.compile.fuse", passes::fuse),
     ("clc.compile.clean", passes::clean),

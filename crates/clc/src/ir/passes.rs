@@ -13,9 +13,10 @@
 //!    against identities (`x+0.0` would flip `-0.0`).
 //! 3. `unroll` — fully unrolls loops whose trip count folds to a
 //!    constant (the generator's `pwi` work-item loops). Runs after
-//!    `clean` so loop bounds are materialised constants, and before
-//!    the final `simplify`+`clean` so the unrolled chain is merged
-//!    into straight-line code and cross-iteration redundancy is CSE'd.
+//!    `clean` so loop bounds are materialised constants. Each unrolled
+//!    loop is followed by its own `simplify`+`clean`, which merges the
+//!    unrolled chain into straight-line code and CSEs cross-iteration
+//!    redundancy, so the pipeline needs no second pair after `unroll`.
 //!
 //! Every pass preserves block [`Cost`]s: ops move or disappear, the
 //! frozen per-execution stats charge does not. Unrolling *copies*

@@ -3,29 +3,21 @@
 //! Tuning is the expensive path (five-plus hours per device in the
 //! paper); serving must not pay it per request. This LRU maps
 //! `(device, precision, shape bucket)` to the kernel parameters serving
-//! that bucket, fronting the persistent
-//! [`KernelRepo`](clgemm::repo::KernelRepo).
+//! that bucket. A miss resolves through the server's miss chain: the
+//! tuning database, the predictor, `tune_misses`, the kernel repo, the
+//! paper's Table II winner, then the small test kernel.
 
 use crate::request::ShapeBucket;
 use clgemm::params::KernelParams;
-use clgemm::repo::KernelRepo;
 use clgemm_blas::scalar::Precision;
 
 /// Cache key: which kernel serves which bucket where.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Device code name, as in [`KernelRepo::cache_key`].
+    /// Device code name (`DeviceSpec::code_name`).
     pub device: String,
     pub precision: Precision,
     pub bucket: ShapeBucket,
-}
-
-impl CacheKey {
-    /// The repo-style string key for this cache entry's device slice.
-    #[must_use]
-    pub fn repo_key(&self) -> String {
-        KernelRepo::cache_key(&self.device, self.precision)
-    }
 }
 
 /// Where a cached parameter set came from — the serving layer's three
@@ -167,11 +159,6 @@ impl KernelCache {
     #[must_use]
     pub fn provenance_hits(&self) -> [u64; 3] {
         self.hits_by_provenance
-    }
-
-    /// Keys from MRU to LRU (for diagnostics and tests).
-    pub fn keys(&self) -> impl Iterator<Item = &CacheKey> {
-        self.entries.iter().map(|(k, _, _)| k)
     }
 }
 

@@ -20,15 +20,15 @@
 //!   content-addressed key over shape, type, scalars and input bytes
 //!   lets duplicates share one execution, and a bounded LRU
 //!   [`ResultCache`] replays recent results across drains.
-//! * A shape-bucketed kernel cache ([`KernelCache`]) fronts the
-//!   [`KernelRepo`](clgemm::repo::KernelRepo): requests whose padded
-//!   shapes fall in the same bucket share one tuned parameter set, LRU
-//!   over `(device, precision, bucket)`. A miss resolves through the
-//!   on-disk tuning database, then the analytical predictor
+//! * A shape-bucketed kernel cache ([`KernelCache`]): requests whose
+//!   padded shapes fall in the same bucket share one tuned parameter
+//!   set, LRU over `(device, precision, bucket)`. A miss resolves
+//!   through the on-disk tuning database, then the analytical predictor
 //!   (`clgemm::predict`, zero search — a background refiner re-derives
 //!   the bucket with a real search and persists it), then an optional
-//!   synchronous smoke-tune, then the paper's Table II winners; every
-//!   cached entry carries its [`Provenance`].
+//!   synchronous smoke-tune, then the
+//!   [`KernelRepo`](clgemm::repo::KernelRepo), then the paper's Table II
+//!   winners; every cached entry carries its [`Provenance`].
 //! * A batcher coalesces same-bucket requests into grouped launches on
 //!   one virtual command queue, amortising launch overhead exactly the
 //!   way real serving stacks amortise kernel dispatch.
@@ -38,7 +38,13 @@
 //!   virtual clocks for load tracking, with work stealing when queues
 //!   go skew.
 //! * [`ServerStats`] counts everything observable: enqueued, batched,
-//!   cache hits/misses, rejections, per-device busy time.
+//!   cache hits/misses, rejections, per-device busy time. Every drained
+//!   request leaves a drain through one exit (executed, shed by the
+//!   in-batch deadline guard, replayed from the result cache, or
+//!   following its coalesce leader). That exit records its queue wait,
+//!   its counters, one terminal trace event and its response, so each
+//!   drained request adds exactly one to `completed` or
+//!   `rejected_deadline_late`.
 //!
 //! Execution stays bit-exact: every request is served by the same
 //! `TunedGemm` routine layer the rest of the workspace uses, so a

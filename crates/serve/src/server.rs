@@ -674,19 +674,7 @@ impl GemmServer {
         let placement = self.scheduler.place(&[row]).pop().expect("one batch");
         let worker = placement.worker;
         let spec = self.scheduler.workers()[worker].spec().clone();
-        let ckey = CacheKey {
-            device: spec.code_name.clone(),
-            precision,
-            bucket: key.bucket,
-        };
-        let params = match self.cache.get(&ckey) {
-            Some((p, _)) => p,
-            None => {
-                let (p, provenance) = self.resolve_miss(&spec, key);
-                self.cache.insert(ckey, p, provenance);
-                p
-            }
-        };
+        let params = self.cached_params(&spec, key);
         let tuned = tuned_for(&spec, precision, params);
 
         let wall_start = Instant::now();
@@ -726,11 +714,12 @@ impl GemmServer {
     }
 
     /// Process queued requests (up to the configured drain quota) in
-    /// weighted-fair order: credit the admission backlog, answer
-    /// repeats from the result cache, deduplicate identical in-flight
-    /// requests, then batch, place and execute the representatives and
-    /// fan their results out. Returns the number of requests answered
-    /// in this drain (executed, coalesced, or cached).
+    /// weighted-fair order: credit the admission backlog, coalesce
+    /// (answer repeats from the result cache, elect one leader per
+    /// identical in-flight request), then execute (batch, place and run
+    /// the leaders, and fan their results out). Every drained request
+    /// leaves through one private exit, `finish`. Returns the number of
+    /// requests answered in this drain (executed, coalesced, or cached).
     pub fn drain(&mut self) -> usize {
         let _drain_span = clgemm_trace::span!("serve.drain");
         self.absorb_refines();
@@ -742,56 +731,87 @@ impl GemmServer {
         for p in &pending {
             self.shared.admission.credit(p.admit_cost);
         }
+        let (drained, first, ended) = (pending.len(), self.responses.len(), self.ended());
+        let (leaders, parked) = self.coalesce_drained(pending);
+        if !leaders.is_empty() {
+            self.execute_leaders(leaders, parked);
+        }
+        self.publish_admission_clock();
+        let answered = &self.responses[first..];
+        debug_assert_eq!(answered.len(), drained, "one response per drained request");
+        debug_assert_eq!(
+            self.ended() - ended,
+            drained as u64,
+            "one unit of completed + rejected_deadline_late per drained request"
+        );
+        answered
+            .iter()
+            .filter(|r| r.outcome == Outcome::Completed)
+            .count()
+    }
 
-        // --- idempotent coalescing --------------------------------------
-        // One leader per content key executes; duplicates ("followers")
-        // park here and receive the leader's result. Repeats of inputs
-        // served in an earlier drain are answered from the result cache
-        // without queueing any work at all.
+    /// Drained requests ended so far: `completed` plus
+    /// `rejected_deadline_late`.
+    fn ended(&self) -> u64 {
+        let stats = &self.shared.stats;
+        stats.completed.load(Ordering::Relaxed)
+            + stats.rejected_deadline_late.load(Ordering::Relaxed)
+    }
+
+    /// The coalesce step of a drain. Repeats of inputs served in an
+    /// earlier drain are answered from the result cache without
+    /// queueing any work at all. Of the rest, one leader per content
+    /// key executes; its duplicates ("followers") park until the
+    /// leader's result can be fanned out to them.
+    fn coalesce_drained(&mut self, pending: Vec<PendingRequest>) -> (Vec<PendingRequest>, Parked) {
+        if !self.cfg.coalesce_idempotent {
+            return (pending, Parked::new());
+        }
         let mut leaders: Vec<PendingRequest> = Vec::new();
+        // Each leader's content key and followers, by leader index.
+        let mut groups: Vec<(ContentKey, Vec<PendingRequest>)> = Vec::new();
         let mut leader_at: HashMap<ContentKey, usize> = HashMap::new();
-        let mut leader_key: HashMap<RequestId, ContentKey> = HashMap::new();
-        let mut followers: HashMap<ContentKey, Vec<PendingRequest>> = HashMap::new();
-        let mut answered = 0usize;
-        for p in pending {
-            if !self.cfg.coalesce_idempotent {
-                leaders.push(p);
-                continue;
-            }
+        for mut p in pending {
             let key = content_key(&p.req);
             if let Some(cached) = self.result_cache.get(&key) {
-                Self::answer_from_cache(&self.shared.stats, &mut self.responses, p, cached);
-                answered += 1;
+                // Same device, parameters, and result bits as the
+                // original execution.
+                let now = clgemm_trace::now_ns();
+                cached.c.write_into(&mut p.req.payload);
+                let served = Served {
+                    batch: cached.batch,
+                    device: cached.device.clone(),
+                    params: cached.params,
+                    run: cached.run,
+                    done_at: cached.done_at,
+                    outcome: Outcome::Completed,
+                };
+                self.finish(p, now, Exit::Replayed, &served);
                 continue;
             }
-            match leader_at.get(&key) {
-                Some(&i) => {
-                    // The member with the most permissive deadline
-                    // leads: if the guard sheds the leader, every
-                    // follower (tighter or equal deadline) would have
-                    // been shed too, so fanning the outcome out stays
-                    // truthful.
-                    if more_permissive(p.req.deadline, leaders[i].req.deadline) {
-                        let old = std::mem::replace(&mut leaders[i], p);
-                        leader_key.remove(&old.id);
-                        leader_key.insert(leaders[i].id, key);
-                        followers.entry(key).or_default().push(old);
-                    } else {
-                        followers.entry(key).or_default().push(p);
-                    }
-                }
-                None => {
-                    leader_at.insert(key, leaders.len());
-                    leader_key.insert(p.id, key);
-                    leaders.push(p);
-                }
+            let Some(&i) = leader_at.get(&key) else {
+                leader_at.insert(key, leaders.len());
+                leaders.push(p);
+                groups.push((key, Vec::new()));
+                continue;
+            };
+            // The member with the most permissive deadline leads: if
+            // the guard sheds the leader, every follower (tighter or
+            // equal deadline) would have been shed too, so fanning the
+            // outcome out stays truthful.
+            if more_permissive(p.req.deadline, leaders[i].req.deadline) {
+                p = std::mem::replace(&mut leaders[i], p);
             }
+            groups[i].1.push(p);
         }
-        if leaders.is_empty() {
-            self.publish_admission_clock();
-            return answered;
-        }
+        let parked = leaders.iter().map(|l| l.id).zip(groups).collect();
+        (leaders, parked)
+    }
 
+    /// The execute step of a drain: batch the leaders, cost every batch
+    /// on every device, place them, run each batch, then fan each
+    /// leader's outcome out to its parked followers.
+    fn execute_leaders(&mut self, leaders: Vec<PendingRequest>, mut parked: Parked) {
         let batches = {
             let _g = clgemm_trace::span!("serve.batch");
             coalesce(leaders, self.cfg.max_batch, self.next_batch)
@@ -824,35 +844,52 @@ impl GemmServer {
             if placement.stolen {
                 self.shared.stats.steals.fetch_add(1, Ordering::Relaxed);
             }
-            let first_new = self.responses.len();
-            answered += self.run_batch(batch, placement.worker);
-            // Fan this batch's results out to parked duplicates, feed
-            // the admission EWMA, and remember results for future
+            let first = self.responses.len();
+            self.run_batch(batch, placement.worker);
+            // Feed the admission EWMA, fan each leader's outcome out to
+            // its followers, and remember completed results for future
             // repeats. Indices, not iterators: fan-out appends.
-            for i in first_new..self.responses.len() {
+            for i in first..self.responses.len() {
                 let r = &self.responses[i];
                 if r.outcome == Outcome::Completed {
                     modelled_seconds += r.run.total;
                     modelled_flops += r.payload.flops(r.ty);
                 }
-                let Some(key) = leader_key.get(&r.id).copied() else {
+                let Some((key, followers)) = parked.remove(&r.id) else {
                     continue;
                 };
-                if r.outcome == Outcome::Completed {
-                    self.result_cache.insert(
-                        key,
-                        CachedResult {
-                            device: r.device.clone(),
-                            params: r.params,
-                            run: r.run,
-                            done_at: r.done_at,
-                            batch: r.batch,
-                            c: CachedC::capture(&r.payload),
-                        },
-                    );
+                let served = Served {
+                    batch: r.batch,
+                    device: r.device.clone(),
+                    params: r.params,
+                    run: r.run,
+                    done_at: r.done_at,
+                    outcome: r.outcome,
+                };
+                // Captured once: the same copy answers the followers
+                // and then goes into the result cache. A shed leader
+                // sheds its followers too (it had the loosest deadline,
+                // so they would all have missed).
+                let c = (r.outcome == Outcome::Completed).then(|| CachedC::capture(&r.payload));
+                for mut f in followers {
+                    let now = clgemm_trace::now_ns();
+                    if let Some(c) = &c {
+                        // Bit-identical: the leader's C is copied, not
+                        // recomputed, so duplicates can never diverge.
+                        c.write_into(&mut f.req.payload);
+                    }
+                    self.finish(f, now, Exit::Followed, &served);
                 }
-                if let Some(parked) = followers.remove(&key) {
-                    answered += self.fan_out(i, parked);
+                if let Some(c) = c {
+                    let result = CachedResult {
+                        device: served.device,
+                        params: served.params,
+                        run: served.run,
+                        done_at: served.done_at,
+                        batch: served.batch,
+                        c,
+                    };
+                    self.result_cache.insert(key, result);
                 }
             }
         }
@@ -861,8 +898,6 @@ impl GemmServer {
                 .admission
                 .observe_secs_per_flop(modelled_seconds / modelled_flops);
         }
-        self.publish_admission_clock();
-        answered
     }
 
     /// Publish the earliest-free device clock so submit-side admission
@@ -877,116 +912,60 @@ impl GemmServer {
         self.shared.admission.publish_min_busy(min_busy);
     }
 
-    /// Answer one request straight from the result cache: same device,
-    /// parameters, and result bits as the original execution. Takes the
-    /// fields it touches, so the cached entry is read in place.
-    fn answer_from_cache(
-        stats: &ServerStats,
-        responses: &mut Vec<GemmResponse>,
-        p: PendingRequest,
-        cached: &CachedResult,
-    ) {
-        let PendingRequest {
-            id,
-            enqueued_ns,
-            mut req,
-            ..
-        } = p;
-        let wait_ns = clgemm_trace::now_ns().saturating_sub(enqueued_ns);
-        stats.observe_queue_wait(wait_ns as f64 * 1e-9);
-        stats.note_tenant_completed(&req.tenant, wait_ns as f64 * 1e-9);
-        stats.record_coalesced(&cached.device, 1);
-        cached.c.write_into(&mut req.payload);
-        clgemm_trace::event!("serve.request.coalesce_hit", id);
-        responses.push(GemmResponse {
-            id,
-            batch: cached.batch,
-            device: cached.device.clone(),
-            params: cached.params,
-            ty: req.ty,
-            payload: req.payload,
-            run: cached.run,
-            done_at: cached.done_at,
-            outcome: Outcome::Completed,
+    /// The one exit of every drained request. Records its queue wait,
+    /// which ended at `waited_until`, in the histogram and the trace
+    /// ring; applies the counters its `exit` and outcome call for;
+    /// emits exactly one terminal trace event; and pushes the response
+    /// built from the request and `served`. An executed request counts
+    /// as `completed` through its batch's `record_batch`.
+    fn finish(&mut self, p: PendingRequest, waited_until: u64, exit: Exit, served: &Served) {
+        let stats = &self.shared.stats;
+        let wait_ns = waited_until.saturating_sub(p.enqueued_ns);
+        let wait = wait_ns as f64 * 1e-9;
+        stats.observe_queue_wait(wait);
+        clgemm_trace::ring::record("serve.request.queue_wait", p.id, p.enqueued_ns, wait_ns);
+        let completed = served.outcome == Outcome::Completed;
+        if completed {
+            stats.note_tenant_completed(&p.req.tenant, wait);
+        } else {
+            stats.rejected_deadline_late.fetch_add(1, Ordering::Relaxed);
+        }
+        if completed && matches!(exit, Exit::Replayed | Exit::Followed) {
+            stats.record_coalesced(&served.device, 1);
+        }
+        let event = match exit {
+            Exit::Executed => "serve.request.complete",
+            Exit::Shed(slack) => {
+                // Admission's signed slack was already recorded at
+                // submit; only the guard's lateness is news here.
+                stats.observe_deadline_slack(slack);
+                "serve.request.shed"
+            }
+            Exit::Replayed => "serve.request.coalesce_hit",
+            Exit::Followed => "serve.request.coalesce_fanout",
+        };
+        clgemm_trace::event!(event, p.id);
+        self.responses.push(GemmResponse {
+            id: p.id,
+            batch: served.batch,
+            device: served.device.clone(),
+            params: served.params,
+            ty: p.req.ty,
+            payload: p.req.payload,
+            run: served.run,
+            done_at: served.done_at,
+            outcome: served.outcome,
         });
     }
 
-    /// Fan a leader's response (at `leader_idx` in `self.responses`)
-    /// out to its parked duplicates. Returns how many were answered
-    /// (completed followers; a shed leader sheds its followers too —
-    /// it had the loosest deadline, so they would all have missed).
-    fn fan_out(&mut self, leader_idx: usize, parked: Vec<PendingRequest>) -> usize {
-        let (batch, device, params, run, done_at, outcome, result) = {
-            let leader = &self.responses[leader_idx];
-            (
-                leader.batch,
-                leader.device.clone(),
-                leader.params,
-                leader.run,
-                leader.done_at,
-                leader.outcome,
-                (leader.outcome == Outcome::Completed).then(|| CachedC::capture(&leader.payload)),
-            )
-        };
-        let mut answered = 0usize;
-        for f in parked {
-            let PendingRequest {
-                id,
-                enqueued_ns,
-                mut req,
-                ..
-            } = f;
-            let wait_ns = clgemm_trace::now_ns().saturating_sub(enqueued_ns);
-            self.shared.stats.observe_queue_wait(wait_ns as f64 * 1e-9);
-            if let Some(result) = &result {
-                // Bit-identical: the leader's C is copied, not
-                // recomputed, so duplicates can never diverge.
-                result.write_into(&mut req.payload);
-                self.shared
-                    .stats
-                    .note_tenant_completed(&req.tenant, wait_ns as f64 * 1e-9);
-                self.shared.stats.record_coalesced(&device, 1);
-                answered += 1;
-            } else {
-                self.shared
-                    .stats
-                    .rejected_deadline_late
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            clgemm_trace::event!("serve.request.coalesce_fanout", id);
-            self.responses.push(GemmResponse {
-                id,
-                batch,
-                device: device.clone(),
-                params,
-                ty: req.ty,
-                payload: req.payload,
-                run,
-                done_at,
-                outcome,
-            });
-        }
-        answered
-    }
-
-    /// Execute one batch on one worker; returns completed requests.
-    fn run_batch(&mut self, batch: Batch, worker: usize) -> usize {
+    /// Execute one batch on one worker. Each member leaves through
+    /// [`GemmServer::finish`]; the launch (device clock, `done_at`,
+    /// `record_batch`) is accounted once for the whole batch.
+    fn run_batch(&mut self, batch: Batch, worker: usize) {
         let _batch_span = clgemm_trace::span!("serve.batch.execute", batch.id);
         let spec = self.scheduler.workers()[worker].spec().clone();
         let key = batch.key;
-        let ckey = CacheKey {
-            device: spec.code_name.clone(),
-            precision: key.precision,
-            bucket: key.bucket,
-        };
-        let params = match self.cache.get(&ckey) {
-            Some((p, _)) => p,
-            None => {
-                let (p, provenance) = self.resolve_miss(&spec, key);
-                self.cache.insert(ckey, p, provenance);
-                p
-            }
-        };
+        let params = self.cached_params(&spec, key);
         let tuned = tuned_for(&spec, key.precision, params);
 
         // Last-resort deadline guard. Admission already projected (and
@@ -1000,81 +979,50 @@ impl GemmServer {
         let projected_end = start + batch_cost(&spec, &batch, params);
 
         let wall_start = Instant::now();
+        let first = self.responses.len();
         let mut total_seconds = 0.0;
-        let mut served: Vec<GemmResponse> = Vec::with_capacity(batch.requests.len());
-        for pending in batch.requests {
-            let PendingRequest {
-                id,
-                enqueued_ns,
-                mut req,
-                ..
-            } = pending;
-            let dp = key.precision == Precision::F64;
-            let (m, n, k) = req.payload.dims(req.ty);
+        // Executed members' `done_at` is patched below, once the batch
+        // end is known.
+        let mut served = Served {
+            batch: batch.id,
+            device: spec.code_name.clone(),
+            params,
+            run: GemmRun::empty(),
+            done_at: start,
+            outcome: Outcome::Completed,
+        };
+        for mut p in batch.requests {
             // The request's queue wait ends now, when its batch starts
-            // on a device queue. Recorded retroactively so the span
-            // covers the interval the submitter actually waited.
-            let wait_ns = clgemm_trace::now_ns().saturating_sub(enqueued_ns);
-            self.shared.stats.observe_queue_wait(wait_ns as f64 * 1e-9);
-            clgemm_trace::ring::record("serve.request.queue_wait", id, enqueued_ns, wait_ns);
-            if req.deadline.is_some_and(|d| d < projected_end) {
-                // How late the request would actually have been —
-                // admission's signed slack was already recorded at
-                // submit; only the guard's lateness is news here.
-                self.shared
-                    .stats
-                    .observe_deadline_slack(req.deadline.expect("checked") - projected_end);
-                self.shared
-                    .stats
-                    .rejected_deadline_late
-                    .fetch_add(1, Ordering::Relaxed);
-                served.push(GemmResponse {
-                    id,
-                    batch: batch.id,
-                    device: spec.code_name.clone(),
-                    params,
-                    ty: req.ty,
-                    run: tuned.predict(dp, req.ty, m.max(1), n.max(1), k.max(1)),
-                    done_at: start,
-                    outcome: Outcome::MissedDeadline,
-                    payload: req.payload,
-                });
-                continue;
-            }
-            let run = {
-                let _g = clgemm_trace::span!("serve.request.execute", id);
-                execute(
-                    &tuned,
-                    req.ty,
-                    &mut req.payload,
-                    &mut self.workspaces[worker],
-                )
+            // on a device queue.
+            let waited_until = clgemm_trace::now_ns();
+            let exit = match p.req.deadline.filter(|&d| d < projected_end) {
+                Some(deadline) => {
+                    let dp = key.precision == Precision::F64;
+                    let (m, n, k) = p.req.payload.dims(p.req.ty);
+                    served.run = tuned.predict(dp, p.req.ty, m.max(1), n.max(1), k.max(1));
+                    served.outcome = Outcome::MissedDeadline;
+                    Exit::Shed(deadline - projected_end)
+                }
+                None => {
+                    let _g = clgemm_trace::span!("serve.request.execute", p.id);
+                    let ws = &mut self.workspaces[worker];
+                    served.run = execute(&tuned, p.req.ty, &mut p.req.payload, ws);
+                    total_seconds += served.run.total;
+                    served.outcome = Outcome::Completed;
+                    Exit::Executed
+                }
             };
-            total_seconds += run.total;
-            self.shared
-                .stats
-                .note_tenant_completed(&req.tenant, wait_ns as f64 * 1e-9);
-            clgemm_trace::event!("serve.request.complete", id);
-            served.push(GemmResponse {
-                id,
-                batch: batch.id,
-                device: spec.code_name.clone(),
-                params,
-                ty: req.ty,
-                run,
-                done_at: 0.0, // patched below once the batch end is known
-                outcome: Outcome::Completed,
-                payload: req.payload,
-            });
+            self.finish(p, waited_until, exit, &served);
         }
 
-        let completed = served
+        let members = &self.responses[first..];
+        let completed = members
             .iter()
             .filter(|r| r.outcome == Outcome::Completed)
             .count();
         // Substitutions the clamp used to hide: completed requests whose
         // host register tile differed from the tuned blocking.
-        let tile_subs = served
+        let tile_subs = members
             .iter()
             .filter(|r| {
                 r.outcome == Outcome::Completed && r.run.tile.is_some_and(|d| d.substituted())
@@ -1085,7 +1033,7 @@ impl GemmServer {
             let w = self.scheduler.worker_mut(worker);
             w.submit(&name, total_seconds);
             let done_at = w.busy_until();
-            for r in &mut served {
+            for r in &mut self.responses[first..] {
                 if r.outcome == Outcome::Completed {
                     r.done_at = done_at;
                 }
@@ -1100,22 +1048,27 @@ impl GemmServer {
                 tile_subs as u64,
             );
         }
-        self.responses.extend(served);
-        completed
     }
 
     /// Parameters a batch *would* use on a device, without touching
     /// cache order, counters, or the tuner (used for placement costs).
     fn resolve_quiet(&self, spec: &DeviceSpec, key: BatchKey) -> KernelParams {
-        let ckey = CacheKey {
-            device: spec.code_name.clone(),
-            precision: key.precision,
-            bucket: key.bucket,
-        };
-        if let Some(p) = self.cache.peek(&ckey) {
-            return *p;
+        match self.cache.peek(&cache_key(spec, key)) {
+            Some(p) => *p,
+            None => fallback_params(&self.repo, spec, key),
         }
-        fallback_params(&self.repo, spec, key)
+    }
+
+    /// Parameters a batch uses on a device: the kernel cache's entry,
+    /// or the miss path's answer, which is cached for the next batch.
+    fn cached_params(&mut self, spec: &DeviceSpec, key: BatchKey) -> KernelParams {
+        let ckey = cache_key(spec, key);
+        if let Some((p, _)) = self.cache.get(&ckey) {
+            return p;
+        }
+        let (p, provenance) = self.resolve_miss(spec, key);
+        self.cache.insert(ckey, p, provenance);
+        p
     }
 
     /// Miss path, in resolution order: the persistent tuning database
@@ -1174,6 +1127,44 @@ impl GemmServer {
             fallback_params(&self.repo, spec, key),
             Provenance::Persisted,
         )
+    }
+}
+
+/// How a drained request leaves the server; decides what
+/// [`GemmServer::finish`] counts for it.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// Executed in its batch.
+    Executed,
+    /// Shed by the in-batch deadline guard, with its (negative) slack.
+    Shed(f64),
+    /// Answered from the result cache.
+    Replayed,
+    /// Given its coalesce leader's outcome and, if it completed, `C`.
+    Followed,
+}
+
+/// The six response fields a drained request does not supply itself.
+#[derive(Debug)]
+struct Served {
+    batch: u64,
+    device: String,
+    params: KernelParams,
+    run: GemmRun,
+    done_at: f64,
+    outcome: Outcome,
+}
+
+/// What the coalesce step of a drain hands the execute step besides the
+/// leaders: each leader's content key and parked followers, by its id.
+type Parked = HashMap<RequestId, (ContentKey, Vec<PendingRequest>)>;
+
+/// The kernel-cache key of one (device, precision, bucket) slot.
+fn cache_key(spec: &DeviceSpec, key: BatchKey) -> CacheKey {
+    CacheKey {
+        device: spec.code_name.clone(),
+        precision: key.precision,
+        bucket: key.bucket,
     }
 }
 
@@ -1513,6 +1504,81 @@ mod tests {
                 assert_eq!(c, &expect);
             }
             GemmPayload::F32 { .. } => panic!("wrong precision"),
+        }
+    }
+
+    #[test]
+    fn every_exit_answers_once_and_is_traced_once() {
+        clgemm_trace::set_enabled(true);
+        let t0 = clgemm_trace::now_ns();
+        // Other tests serve the same small ids at the same time, so the
+        // ring is read for this thread only, found by a marker event.
+        clgemm_trace::event!("serve.test.every_exit");
+        let mut server = two_device_server(ServeConfig {
+            registry: Some(Registry::new()),
+            ..Default::default()
+        });
+        server.submit(request(48, 1)).unwrap();
+        assert_eq!(server.drain(), 1);
+        server.take_responses();
+        let before = server.stats();
+
+        // Optimistic admission (zero cost estimate) admits deadlines a
+        // picosecond past the published device clock; the batch guard,
+        // which sees the batch's modelled cost, sheds them.
+        f64_store(&server.shared.admission.secs_per_flop, 0.0);
+        let tight = f64_load(&server.shared.admission.min_busy) + 1e-12;
+        let submit = |req: GemmRequest| server.submit(req).unwrap();
+        let exits = [
+            ("serve.request.coalesce_hit", submit(request(48, 1))),
+            ("serve.request.complete", submit(request(48, 2))),
+            ("serve.request.coalesce_fanout", submit(request(48, 2))),
+            (
+                "serve.request.shed",
+                submit(request(48, 3).with_deadline(tight)),
+            ),
+            (
+                "serve.request.coalesce_fanout",
+                submit(request(48, 3).with_deadline(tight)),
+            ),
+            ("serve.request.complete", submit(request(48, 4))),
+        ];
+        assert_eq!(server.drain(), 4);
+        let after = server.stats();
+        assert_eq!(after.completed - before.completed, 4);
+        assert_eq!(after.coalesce_hits - before.coalesce_hits, 2);
+        assert_eq!(
+            after.rejected_deadline_late - before.rejected_deadline_late,
+            2
+        );
+
+        let responses = server.take_responses();
+        assert_eq!(responses.len(), exits.len());
+        let events = clgemm_trace::ring::events_since(t0);
+        let me = events
+            .iter()
+            .find(|e| e.name == "serve.test.every_exit")
+            .expect("marker event")
+            .thread;
+        let terminal = [
+            "serve.request.complete",
+            "serve.request.shed",
+            "serve.request.coalesce_hit",
+            "serve.request.coalesce_fanout",
+        ];
+        for (event, id) in exits {
+            let answers = responses.iter().filter(|r| r.id == id).count();
+            assert_eq!(answers, 1, "request {id}: one response");
+            let mine = || events.iter().filter(|e| e.thread == me && e.tag == id);
+            let waits = mine()
+                .filter(|e| e.name == "serve.request.queue_wait")
+                .count();
+            assert_eq!(waits, 1, "request {id}: one queue-wait record");
+            let ends: Vec<_> = mine()
+                .filter(|e| terminal.contains(&e.name))
+                .map(|e| e.name)
+                .collect();
+            assert_eq!(ends, [event], "request {id}: one terminal event");
         }
     }
 
