@@ -28,16 +28,26 @@
 //!   (f32 arithmetic through f64 intermediates, wrapping integer ops,
 //!   identical division-by-zero error strings);
 //! - memory ops run per active work-item, in work-item order, with the
-//!   same bounds checks and race-table updates as the reference;
+//!   same bounds checks as the reference, and the same race-table
+//!   updates except where a compile-time proof shows the record can
+//!   never matter (see `trace::race_facts`): buffers no store targets
+//!   get no inter-group table and their loads record nothing, and local
+//!   loads in a barrier phase that stores nothing to their array skip
+//!   the local table. Every store is recorded, so the same races are
+//!   reported. Debug builds still check the local proofs at run time:
+//!   per array, a proved load and a store never share a phase;
 //! - `DynStats` are charged from the frozen per-block [`Cost`]s once per
 //!   active work-item, and each work-item's steps since the last
 //!   barrier trip the step limit with the reference's error string (at
 //!   block granularity — the limit is checked before a block runs).
+//!   The `clc_race_proved_total` / `clc_race_tracked_total` counters
+//!   are charged the same way, from each block's frozen
+//!   [`RaceCounts`], and kept out of `DynStats`.
 //!
 //! [`Cost`]: super::Cost
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use super::trace::{BOp, BSeed, BTerm, Bank, BoundTrace, TracePlan, EXIT, PK};
+use super::trace::{BOp, BSeed, BTerm, Bank, BoundTrace, RaceCounts, TracePlan, EXIT, PK};
 use crate::error::RuntimeError;
 use crate::lower::CompiledKernel;
 use crate::vm::{
@@ -59,20 +69,27 @@ enum RawBuf {
 /// Concurrent unsynchronised writes through these pointers are only
 /// sound because distinct work-groups of a generated kernel write
 /// disjoint global cells. That discipline is *validated*, not assumed:
-/// when `detect_races` is on, every access first consults
-/// [`GlobalRaceTables`], whose write slots are claimed with a
-/// compare-and-swap — a second group writing the same cell errors before
-/// its payload store, so write/write overlap never reaches the buffer.
-/// (A read racing a first write can still observe either value in the
-/// narrow window before detection; the launch still fails.) With
-/// `detect_races` off the caller asserts disjointness.
+/// when `detect_races` is on, every access to a buffer that some store
+/// in the kernel targets first consults [`GlobalRaceTables`], whose
+/// write slots are claimed with a compare-and-swap — a second group
+/// writing the same cell errors before its payload store, so
+/// write/write overlap never reaches the buffer. (A read racing a first
+/// write can still observe either value in the narrow window before
+/// detection; the launch still fails.) A buffer no store targets is
+/// only ever read, and reads never race with reads, so its loads skip
+/// the tables; buffers cannot alias, because `Kernel::marshal` binds
+/// the i-th buffer parameter to `bufs[i]`. With `detect_races` off the
+/// caller asserts disjointness.
 struct SharedBufs {
     bufs: Vec<RawBuf>,
 }
 
 // SAFETY: the pointers come from `&mut [BufData]` borrowed for the whole
 // launch, so they stay valid on every worker thread; cross-thread access
-// follows the disjoint-writes discipline documented on the type.
+// follows the disjoint-writes discipline documented on the type: every
+// write, and every read of a buffer that is written, is checked against
+// the race tables, and the unchecked reads are of buffers nothing
+// writes during the launch.
 unsafe impl Send for SharedBufs {}
 // SAFETY: as for `Send` — shared access only reads and writes elements
 // through the checked-in-bounds accessors below.
@@ -84,7 +101,8 @@ macro_rules! raw_access {
     ($($ld:ident, $st:ident, $variant:ident, $t:ty;)+) => {$(
         /// # Safety
         /// `i` is below the buffer's length, and no other group writes
-        /// element `i` concurrently.
+        /// element `i` concurrently (checked by the race tables, or no
+        /// store in the kernel targets buffer `b`).
         unsafe fn $ld(&self, b: usize, i: usize) -> $t {
             let RawBuf::$variant(p, len) = self.bufs[b] else {
                 unreachable!("typed load on a buffer of another type");
@@ -213,6 +231,10 @@ struct CArena {
     spare: Vec<Vec<u32>>,
     /// Per-work-item steps this phase run under partial masks.
     steps: Vec<u64>,
+    /// Debug builds only, per local array: the last phase that stored
+    /// to it and the last that ran a phase-proved load from it. The
+    /// proofs hold while the two never meet.
+    shadow: Vec<[u32; 2]>,
 }
 
 fn write_seed(a: &mut CArena, s: &BSeed) {
@@ -287,6 +309,10 @@ impl CArena {
         } else {
             self.races.clear();
         }
+        if cfg!(debug_assertions) {
+            self.shadow.clear();
+            self.shadow.resize(arrays.len(), [u32::MAX; 2]);
+        }
     }
 
     fn lanes(&mut self) -> Vec<u32> {
@@ -324,11 +350,15 @@ pub(crate) fn launch(
     let nwi = geom.local[0] * geom.local[1];
     let bt = plan.bind(nwi);
     let n_groups = geom.groups[0] * geom.groups[1];
-    let grace = (opts.detect_races && n_groups > 1).then(|| GlobalRaceTables::new(bufs));
+    let inter_group = opts.detect_races && n_groups > 1;
+    // Tables only for the buffers some store targets (see `SharedBufs`).
+    let stored = |b: usize| plan.stored.get(b).copied().unwrap_or(false);
+    let grace = (inter_group && plan.stored.contains(&true))
+        .then(|| GlobalRaceTables::covering(bufs, stored));
     let shared = SharedBufs::new(bufs);
     let results = clgemm_shim::par::par_range_map(n_groups, |range| {
         let mut arena = CArena::default();
-        let mut acc = DynStats::default();
+        let (mut stats, mut races) = (DynStats::default(), RaceCounts::default());
         for g in range {
             let ctx = Ctx {
                 kernel,
@@ -340,15 +370,41 @@ pub(crate) fn launch(
                 opts,
                 grace: grace.as_ref(),
             };
-            acc.add(&run_group(&ctx, &bt, init_regs, &mut arena)?);
+            stats.add(&run_group(&ctx, &bt, init_regs, &mut arena, &mut races)?);
         }
-        Ok(acc)
+        Ok((stats, races))
     });
-    let mut stats = DynStats::default();
+    let (mut stats, mut races) = (DynStats::default(), RaceCounts::default());
     for r in results {
-        stats.add(&r?);
+        let (s, c) = r?;
+        stats.add(&s);
+        races.add(&c, 1);
     }
+    record_race_metrics(&races, opts.detect_races, inter_group);
     Ok(stats)
+}
+
+/// Bridge one launch's race-record counts into the global registry:
+/// local kinds when detection is on, global kinds when the launch
+/// checks inter-group races. Counters register at first non-zero use.
+fn record_race_metrics(c: &RaceCounts, local: bool, global: bool) {
+    if !clgemm_trace::enabled() {
+        return;
+    }
+    let reg = clgemm_trace::Registry::global();
+    for (on, kind, proved, tracked) in [
+        (global, "global", c.proved_global, c.tracked_global),
+        (local, "local", c.proved_local, c.tracked_local),
+    ] {
+        for (name, v) in [
+            ("clc_race_proved_total", proved),
+            ("clc_race_tracked_total", tracked),
+        ] {
+            if on && v > 0 {
+                reg.counter_labeled(name, &[("kind", kind)]).add(v);
+            }
+        }
+    }
 }
 
 /// Run `ops` for the active work-items `lanes` (ascending): `masked`
@@ -372,11 +428,13 @@ fn run_ops(
     Ok(())
 }
 
+/// Run one group; its race-record counts are charged to `races`.
 fn run_group(
     ctx: &Ctx<'_>,
     bt: &BoundTrace,
     init_regs: &[Value],
     arena: &mut CArena,
+    races: &mut RaceCounts,
 ) -> Result<DynStats, RuntimeError> {
     let nwi = ctx.nwi;
     arena.reset(ctx.kernel, bt, init_regs, ctx.opts.detect_races);
@@ -428,6 +486,7 @@ fn run_group(
         stats.mem_global_bytes += blk.cost.mem_global_bytes * n;
         stats.mem_local_instrs += blk.cost.mem_local_instrs * n;
         stats.mem_local_bytes += blk.cost.mem_local_bytes * n;
+        races.add(&blk.races, n);
         run_ops(ctx, arena, &blk.ops, phase, &e.lanes)?;
         match &blk.term {
             BTerm::Br { to, copies } => {
@@ -438,13 +497,11 @@ fn run_group(
                 // Divergence regions never contain a barrier.
                 debug_assert!(arena.stack.is_empty() && e.lanes.len() == nwi);
                 run_ops(ctx, arena, copies, phase, &e.lanes)?;
+                // A new phase: race marks of earlier phases never match.
                 stats.barriers += 1;
                 phase += 1;
                 (shared, most) = (0, 0);
                 arena.steps.fill(0);
-                for rt in &mut arena.races {
-                    rt.new_phase();
-                }
                 e.pc = *to as usize;
             }
             BTerm::Ret => e.pc = EXIT,
@@ -1094,7 +1151,8 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
 
 /// A memory op for the work-items `lanes`, in order: the bounds test
 /// inlined (the cold path builds the exact reference error) and the
-/// race-table call gated on whether detection is on at all.
+/// race-table call gated on whether detection is on at all and whether
+/// the op needs tracking ([`BOp::track`]).
 fn exec_mem(
     ctx: &Ctx<'_>,
     arena: &mut CArena,
@@ -1108,11 +1166,14 @@ fn exec_mem(
         db,
         locals,
         races,
+        shadow,
         ..
     } = arena;
     let (d, a, b) = (op.d as usize, op.a as usize, op.b as usize);
     let n = op.n as usize;
     let w = op.w as usize;
+    let track_g = op.track && ctx.grace.is_some();
+    let track_l = op.track && !races.is_empty();
     // The bank-side accesses are covered by the up-front asserts (`wi <
     // nwi == n`); the buffer side by the bounds test.
     macro_rules! ld_g {
@@ -1128,7 +1189,7 @@ fn exec_mem(
                     return Err(global_oob(ctx.kernel, bi, idx, len));
                 }
                 let i = idx as usize;
-                if ctx.grace.is_some() {
+                if track_g {
                     g_race(ctx, false, bi, i, wv as u8)?;
                 }
                 for k in 0..wv {
@@ -1155,7 +1216,7 @@ fn exec_mem(
                     return Err(global_oob(ctx.kernel, bi, idx, len));
                 }
                 let i = idx as usize;
-                if ctx.grace.is_some() {
+                if track_g {
                     g_race(ctx, true, bi, i, wv as u8)?;
                 }
                 for k in 0..wv {
@@ -1179,6 +1240,14 @@ fn exec_mem(
                 unreachable!("typed local load");
             };
             let len = v.len();
+            if cfg!(debug_assertions) && !op.track {
+                let [stored, _] = shadow[arr];
+                debug_assert_ne!(
+                    stored, phase,
+                    "phase-proved load from local array {arr} in a phase that stores to it"
+                );
+                shadow[arr][1] = phase;
+            }
             assert!(a + n <= ib.len() && d + n * wv <= $bank.len());
             for wi in lanes {
                 // SAFETY: `wi < n`; the assert above bounds the index range.
@@ -1187,7 +1256,7 @@ fn exec_mem(
                     return Err(local_oob(ctx.kernel, arr, idx, len));
                 }
                 let i = idx as usize;
-                if !races.is_empty() {
+                if track_l {
                     l_race(ctx.kernel, races, false, arr, i, wv as u8, wi as u32, phase)?;
                 }
                 for k in 0..wv {
@@ -1209,6 +1278,14 @@ fn exec_mem(
                 unreachable!("typed local store");
             };
             let len = v.len();
+            if cfg!(debug_assertions) {
+                let [_, proved] = shadow[arr];
+                debug_assert_ne!(
+                    proved, phase,
+                    "store to local array {arr} in a phase with a phase-proved load from it"
+                );
+                shadow[arr][0] = phase;
+            }
             assert!(a + n <= ib.len() && b + n * wv <= $bank.len());
             for wi in lanes {
                 // SAFETY: `wi < n`; the assert above bounds the index range.
@@ -1217,7 +1294,7 @@ fn exec_mem(
                     return Err(local_oob(ctx.kernel, arr, idx, len));
                 }
                 let i = idx as usize;
-                if !races.is_empty() {
+                if track_l {
                     l_race(ctx.kernel, races, true, arr, i, wv as u8, wi as u32, phase)?;
                 }
                 for k in 0..wv {

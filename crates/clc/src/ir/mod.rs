@@ -24,8 +24,10 @@
 //!    across the work-items of a group run once per group; per-item
 //!    values run in a tight loop over all work-items inside one
 //!    dispatched op; branches on per-item conditions get their
-//!    reconvergence points), linear-scan register allocation onto
-//!    typed SoA slot banks, and emission of a [`trace::TracePlan`].
+//!    reconvergence points), race-freedom proofs (read-only buffers
+//!    and phase-proved local loads skip the race tables), linear-scan
+//!    register allocation onto typed SoA slot banks, and emission of a
+//!    [`trace::TracePlan`].
 //! 4. [`engine`] — binds a plan to a launch's geometry and runs
 //!    work-groups in parallel, block by block, with divergent branches
 //!    under per-work-item masks: per-op decode is paid once per *group*
@@ -346,9 +348,13 @@ pub fn compile_parts(k: &CompiledKernel) -> Result<(Func, trace::TracePlan), Str
         pass(&mut f, &mut stats);
     }
     stats.ops_out = count_ops(&f);
+    let races = {
+        let _s = clgemm_trace::span!("clc.compile.races");
+        trace::race_facts(k, &f)
+    };
     let plan = {
         let _s = clgemm_trace::span!("clc.compile.emit");
-        trace::emit(k, &f, stats)?
+        trace::emit(k, &f, races, stats)?
     };
     record_compile_metrics(&plan.stats);
     Ok((f, plan))

@@ -18,8 +18,9 @@
 //! post-dominator), and the engine runs its sides under per-work-item
 //! masks; the divergence analysis makes everything that can differ
 //! between those sides varying (see `divergence`). Memory ops always
-//! execute per work-item so bounds checks and race recording match the
-//! reference interpreter access-for-access.
+//! execute per work-item so bounds checks match the reference
+//! interpreter access-for-access; race recording is skipped only for
+//! the loads [`race_facts`] proves can never take part in a race.
 //!
 //! Slots live in three per-group banks (`i64`/`f32`/`f64`), grouped by
 //! (storage shape, uniformity). A varying slot is `nwi × lanes`
@@ -214,6 +215,9 @@ pub(crate) struct POp {
     pub buf: u16,
     /// BuildVec part slots.
     pub ex: Vec<Slot>,
+    /// Memory ops: the access is recorded in a race table. Loads that
+    /// [`race_facts`] proves race-free skip it.
+    pub track: bool,
 }
 
 impl POp {
@@ -227,6 +231,7 @@ impl POp {
             aux: 0,
             buf: 0,
             ex: Vec::new(),
+            track: false,
         }
     }
 }
@@ -263,7 +268,46 @@ pub(crate) const EXIT: usize = usize::MAX;
 pub(crate) struct PBlock {
     pub ops: Vec<POp>,
     pub cost: Cost,
+    pub races: RaceCounts,
     pub term: PTerm,
+}
+
+/// A block's memory ops by race-table treatment, frozen at plan time
+/// and charged per active work-item like its [`Cost`]: the
+/// `clc_race_proved_total` / `clc_race_tracked_total` metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct RaceCounts {
+    pub proved_global: u64,
+    pub tracked_global: u64,
+    pub proved_local: u64,
+    pub tracked_local: u64,
+}
+
+impl RaceCounts {
+    fn of(ops: &[POp]) -> RaceCounts {
+        let mut c = RaceCounts::default();
+        for op in ops {
+            let Some((global, _)) = mem_access(op.k) else {
+                continue;
+            };
+            let n = match (global, op.track) {
+                (true, false) => &mut c.proved_global,
+                (true, true) => &mut c.tracked_global,
+                (false, false) => &mut c.proved_local,
+                (false, true) => &mut c.tracked_local,
+            };
+            *n += 1;
+        }
+        c
+    }
+
+    /// Add `o`, executed by `n` work-items.
+    pub(crate) fn add(&mut self, o: &RaceCounts, n: u64) {
+        self.proved_global += o.proved_global * n;
+        self.tracked_global += o.tracked_global * n;
+        self.proved_local += o.proved_local * n;
+        self.tracked_local += o.tracked_local * n;
+    }
 }
 
 /// The compiled kernel: a geometry-independent schedule. [`bind`]
@@ -279,6 +323,32 @@ pub struct TracePlan {
     pub(crate) consts: Vec<(Slot, Value)>,
     /// Entry-parameter seeds: slot ← launch `init_regs[reg]`.
     pub(crate) entries: Vec<SlotReg>,
+    /// Per buffer parameter: some store targets it. Only these buffers
+    /// get inter-group race tables.
+    pub(crate) stored: Vec<bool>,
+}
+
+/// Memory ops of a plan, split by whether their race-table record is
+/// proved unnecessary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RaceSplit {
+    pub proved: usize,
+    pub tracked: usize,
+}
+
+/// The race-freedom proofs in a compiled kernel's plan (see
+/// [`race_facts`]), as static counts over its memory ops.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RaceProofs {
+    /// Per buffer parameter: no store in the kernel targets it, so the
+    /// buffer gets no inter-group race table and its loads record
+    /// nothing.
+    pub read_only: Vec<bool>,
+    pub global_loads: RaceSplit,
+    pub global_stores: RaceSplit,
+    /// Local loads are proved per barrier phase.
+    pub local_loads: RaceSplit,
+    pub local_stores: RaceSplit,
 }
 
 /// An entry seed: this slot is initialised from that launch register.
@@ -303,6 +373,8 @@ pub(crate) struct BOp {
     pub aux: u8,
     pub buf: u16,
     pub masked: bool,
+    /// See [`POp::track`].
+    pub track: bool,
     pub ex: Box<[u32]>,
 }
 
@@ -331,6 +403,7 @@ pub(crate) enum BTerm {
 pub(crate) struct BBlock {
     pub ops: Vec<BOp>,
     pub cost: Cost,
+    pub races: RaceCounts,
     pub term: BTerm,
 }
 
@@ -363,31 +436,20 @@ impl GroupInfo {
     }
 }
 
-fn is_mem_pk(k: PK) -> bool {
+/// A memory kind's `(global, store)`; `None` for every other kind.
+fn mem_access(k: PK) -> Option<(bool, bool)> {
     use PK::*;
-    matches!(
-        k,
-        LdG1F
-            | LdGVF
-            | LdG1D
-            | LdGVD
-            | LdG1I
-            | StG1F
-            | StGVF
-            | StG1D
-            | StGVD
-            | StG1I
-            | LdL1F
-            | LdLVF
-            | LdL1D
-            | LdLVD
-            | LdL1I
-            | StL1F
-            | StLVF
-            | StL1D
-            | StLVD
-            | StL1I
-    )
+    match k {
+        LdG1F | LdGVF | LdG1D | LdGVD | LdG1I => Some((true, false)),
+        StG1F | StGVF | StG1D | StGVD | StG1I => Some((true, true)),
+        LdL1F | LdLVF | LdL1D | LdLVD | LdL1I => Some((false, false)),
+        StL1F | StLVF | StL1D | StLVD | StL1I => Some((false, true)),
+        _ => None,
+    }
+}
+
+fn is_mem_pk(k: PK) -> bool {
+    mem_access(k).is_some()
 }
 
 fn is_structured_pk(k: PK) -> bool {
@@ -415,6 +477,32 @@ fn is_structured_pk(k: PK) -> bool {
 }
 
 impl TracePlan {
+    /// The plan's race-freedom proofs, counted over its memory ops.
+    #[must_use]
+    pub fn race_proofs(&self) -> RaceProofs {
+        let mut p = RaceProofs {
+            read_only: self.stored.iter().map(|&s| !s).collect(),
+            ..RaceProofs::default()
+        };
+        for op in self.blocks.iter().flat_map(|b| &b.ops) {
+            let Some((global, store)) = mem_access(op.k) else {
+                continue;
+            };
+            let split = match (global, store) {
+                (true, false) => &mut p.global_loads,
+                (true, true) => &mut p.global_stores,
+                (false, false) => &mut p.local_loads,
+                (false, true) => &mut p.local_stores,
+            };
+            if op.track {
+                split.tracked += 1;
+            } else {
+                split.proved += 1;
+            }
+        }
+        p
+    }
+
     /// Resolve slots to flat offsets for groups of `nwi` work-items.
     pub(crate) fn bind(&self, nwi: usize) -> BoundTrace {
         let mut base = vec![0u32; self.groups.len()];
@@ -475,6 +563,7 @@ impl TracePlan {
                 aux: p.aux,
                 buf: p.buf,
                 masked,
+                track: p.track,
                 ex: p.ex.iter().map(|&s| flat(s)).collect(),
             }
         };
@@ -486,6 +575,7 @@ impl TracePlan {
             .map(|b| BBlock {
                 ops: b.ops.iter().map(|p| bind_op(p, false)).collect(),
                 cost: b.cost,
+                races: b.races,
                 term: match &b.term {
                     PTerm::Br { to, copies } => BTerm::Br {
                         to: *to as u32,
@@ -611,9 +701,11 @@ struct Emitter<'a> {
 }
 
 /// Emit a trace plan, or return the reason the kernel is declined.
+/// `races` must come from [`race_facts`] on the same `f`.
 pub(crate) fn emit(
     k: &CompiledKernel,
     f: &Func,
+    races: RaceFacts,
     mut stats: CompileStats,
 ) -> Result<TracePlan, String> {
     let konst = konst_of(f);
@@ -654,7 +746,9 @@ pub(crate) fn emit(
                     ops.push(p);
                 }
                 SItem::Op(oi) => {
-                    if let Some(p) = em.lower_op(&blk.ops[*oi])? {
+                    let op = &blk.ops[*oi];
+                    if let Some(mut p) = em.lower_op(op)? {
+                        p.track = races.tracks(bi, &op.kind);
                         ops.push(p);
                     }
                 }
@@ -662,6 +756,7 @@ pub(crate) fn emit(
         }
         let term = em.lower_term(bi, &blk.term);
         blocks.push(PBlock {
+            races: RaceCounts::of(&ops),
             ops,
             cost: blk.cost,
             term,
@@ -674,6 +769,7 @@ pub(crate) fn emit(
         blocks,
         consts,
         entries,
+        stored: races.stored,
     })
 }
 
@@ -854,6 +950,97 @@ fn forwarded_roots(f: &Func) -> Vec<Val> {
         }
     }
     (0..f.n_vals() as Val).map(|v| find(&root, v)).collect()
+}
+
+/// Which memory ops of a function need race tracking.
+///
+/// Two facts, proved on the final SSA function the plan is emitted
+/// from:
+/// - A global buffer is **read-only** when no `StoreGlobal` anywhere in
+///   the function targets it (decided from the store ops, not from the
+///   `const` qualifier). An inter-group race needs a write, and
+///   barriers do not order groups, so this is the only global proof:
+///   per buffer, over the whole kernel. Buffers cannot alias, because
+///   `Kernel::marshal` requires `Arg::Buf(i)` for the i-th buffer
+///   parameter, so a read-only buffer's loads never meet a store and
+///   need no table at all.
+/// - A local load is **phase-proved** when no `StoreLocal` to the same
+///   array appears in its barrier-free region: the connected component
+///   of its block once `Barrier` edges are removed (every other edge
+///   counts, loop back edges included). Within one group a barrier
+///   phase starts at one block (barriers never sit under divergent
+///   branches; [`divergence`] declines those) and follows only
+///   non-barrier edges until the next barrier, so it never leaves one
+///   region. `RaceTable::on_read` can only fail against a write of the
+///   same phase, and a later `on_write` only consults reader marks of
+///   the same phase, so a proved load can neither report a race nor
+///   feed one, and skipping its record changes no outcome.
+///
+/// Every store stays tracked: both proofs cover whole buffers or whole
+/// phases, so a store is never the unrecorded half of a race.
+pub(crate) struct RaceFacts {
+    /// Per buffer parameter: some `StoreGlobal` targets it.
+    pub stored: Vec<bool>,
+    /// Per block: the representative block of its barrier-free region.
+    region: Vec<usize>,
+    /// `local_stored[region * n_arrays + arr]`: some block of the
+    /// region stores to local array `arr`.
+    local_stored: Vec<bool>,
+    n_arrays: usize,
+}
+
+impl RaceFacts {
+    /// Whether op `kind` in block `bi` must record its accesses.
+    fn tracks(&self, bi: usize, kind: &OpKind) -> bool {
+        match *kind {
+            OpKind::LoadGlobal { buf, .. } => self.stored[buf],
+            OpKind::LoadLocal { arr, .. } => {
+                self.local_stored[self.region[bi] * self.n_arrays + arr]
+            }
+            ref k => k.is_mem(),
+        }
+    }
+}
+
+/// Prove the race-freedom facts of `f` (see [`RaceFacts`]).
+pub(crate) fn race_facts(k: &CompiledKernel, f: &Func) -> RaceFacts {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let nb = f.blocks.len();
+    let mut parent: Vec<usize> = (0..nb).collect();
+    for (bi, b) in f.blocks.iter().enumerate() {
+        if matches!(b.term, Term::Barrier { .. }) {
+            continue;
+        }
+        for e in b.term.edges() {
+            let (x, y) = (find(&mut parent, bi), find(&mut parent, e.to));
+            parent[x] = y;
+        }
+    }
+    let region: Vec<usize> = (0..nb).map(|b| find(&mut parent, b)).collect();
+    let n_arrays = k.checked.local_arrays.len();
+    let mut stored = vec![false; k.checked.buffer_params.len()];
+    let mut local_stored = vec![false; nb * n_arrays];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for op in &b.ops {
+            match op.kind {
+                OpKind::StoreGlobal { buf, .. } => stored[buf] = true,
+                OpKind::StoreLocal { arr, .. } => local_stored[region[bi] * n_arrays + arr] = true,
+                _ => {}
+            }
+        }
+    }
+    RaceFacts {
+        stored,
+        region,
+        local_stored,
+        n_arrays,
+    }
 }
 
 /// Immediate post-dominator of every block, [`EXIT`] when only the

@@ -179,6 +179,15 @@ impl<'a> Kernel<'a> {
         self.inner
     }
 
+    /// The compile-time race-freedom proofs the compiled engine relies
+    /// on to skip race-table records: which buffers are read-only, and
+    /// how many loads are proved. `None` when the compiler declined the
+    /// kernel (the reference interpreter records every access).
+    #[must_use]
+    pub fn race_proofs(&self) -> Option<crate::ir::trace::RaceProofs> {
+        self.inner.trace.as_ref().map(|t| t.race_proofs())
+    }
+
     /// Total local-memory bytes the kernel statically allocates per
     /// work-group.
     #[must_use]

@@ -220,8 +220,12 @@ pub enum Engine {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Detect same-phase local-memory races and (for multi-group
-    /// launches) inter-group global races (slower; on by default in
-    /// tests).
+    /// launches) inter-group global races (slower; on by default). The
+    /// reference interpreter records every access. The compiled engine
+    /// skips only the records its compile-time proofs show can never
+    /// report a race: loads from buffers no store targets, and local
+    /// loads in barrier phases that store nothing to their array. Both
+    /// engines report the same races.
     pub detect_races: bool,
     /// Abort a work-item after this many executed instructions per
     /// barrier phase (guards against non-terminating kernels).
@@ -263,6 +267,12 @@ struct WiState {
     done: bool,
 }
 
+/// Same-phase race marks for one local array: per cell, the last
+/// writer and the last reader, each stamped with its barrier phase.
+/// Phases only grow within a group, so a mark from an earlier phase
+/// never matches again and a barrier needs no reset; [`RaceTable::clear`]
+/// runs once per group. (A group would need 2^32 barriers to reuse a
+/// phase number.)
 pub(crate) struct RaceTable {
     write_phase: Vec<u32>,
     writer: Vec<u32>,
@@ -291,12 +301,6 @@ impl RaceTable {
     /// Number of elements covered by the table.
     pub(crate) fn len(&self) -> usize {
         self.writer.len()
-    }
-
-    /// A barrier orders earlier accesses: forget the phase marks.
-    pub(crate) fn new_phase(&mut self) {
-        self.write_phase.fill(u32::MAX);
-        self.read_phase.fill(u32::MAX);
     }
 
     /// Record a read of `[i, i+width)` by work-item `wi` in `phase`;
@@ -346,6 +350,11 @@ impl RaceTable {
 /// the slots are relaxed atomics; the detector is order-insensitive —
 /// any overlapping write/anything pair from two distinct groups is
 /// reported no matter which thread gets there first.
+///
+/// The reference interpreter covers every buffer. The compiled engine
+/// covers only the buffers some store in the kernel targets: a buffer
+/// that is only read cannot take part in an inter-group race, so it
+/// gets an empty table and no access to it is recorded.
 pub struct GlobalRaceTables {
     tables: Vec<GlobalTable>,
 }
@@ -361,13 +370,23 @@ impl GlobalRaceTables {
     /// Fresh tables sized to the launch's buffers.
     #[must_use]
     pub fn new(bufs: &[BufData]) -> GlobalRaceTables {
+        GlobalRaceTables::covering(bufs, |_| true)
+    }
+
+    /// Tables sized to the buffers `keep` selects; the others get empty
+    /// tables, which any recorded access to them would index out of.
+    pub(crate) fn covering(bufs: &[BufData], keep: impl Fn(usize) -> bool) -> GlobalRaceTables {
         use std::sync::atomic::AtomicU32;
         GlobalRaceTables {
             tables: bufs
                 .iter()
-                .map(|b| GlobalTable {
-                    writer: (0..b.len()).map(|_| AtomicU32::new(NO_GROUP)).collect(),
-                    reader: (0..b.len()).map(|_| AtomicU32::new(NO_GROUP)).collect(),
+                .enumerate()
+                .map(|(i, b)| {
+                    let len = if keep(i) { b.len() } else { 0 };
+                    GlobalTable {
+                        writer: (0..len).map(|_| AtomicU32::new(NO_GROUP)).collect(),
+                        reader: (0..len).map(|_| AtomicU32::new(NO_GROUP)).collect(),
+                    }
                 })
                 .collect(),
         }
@@ -605,13 +624,10 @@ pub(crate) fn run_group_in(
                     ),
                 });
             }
+            // A new phase: the barrier orders every earlier access, and
+            // the tables' marks of earlier phases can never match again.
             stats.barriers += 1;
             phase += 1;
-            for rt in races.iter_mut() {
-                // New phase: previous accesses are now ordered by the
-                // barrier; reset the tables.
-                rt.new_phase();
-            }
             continue;
         }
         debug_assert_eq!(n_done, nwi);

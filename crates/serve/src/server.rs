@@ -1448,7 +1448,10 @@ mod tests {
 
     #[test]
     fn deadlines_in_the_past_are_shed_at_admission() {
-        let mut server = two_device_server(ServeConfig::default());
+        let mut server = two_device_server(ServeConfig {
+            registry: Some(Registry::new()),
+            ..Default::default()
+        });
         // A deadline of 0.0 can never be met: projected completion is
         // strictly positive, so admission sheds it at submit.
         match server.submit(request(48, 1).with_deadline(0.0)) {
@@ -1480,7 +1483,10 @@ mod tests {
 
     #[test]
     fn the_batch_guard_sheds_deadlines_missed_after_admission() {
-        let mut server = two_device_server(ServeConfig::default());
+        let mut server = two_device_server(ServeConfig {
+            registry: Some(Registry::new()),
+            ..Default::default()
+        });
         // Make admission maximally optimistic (zero cost estimate) so a
         // tiny positive deadline is admitted — then the in-batch guard,
         // which sees the real modelled completion time, must catch it.

@@ -258,7 +258,11 @@ fn main() {
     // engine so the `clc.compile` span and the per-pass clc_compile_*
     // counters move and stay out of the dead-metric list. The guarded
     // variant's `i < n` diverges in the last work-group and must compile
-    // too: it runs under per-work-item masks, not on a fallback.
+    // too: it runs under per-work-item masks, not on a fallback. Reads
+    // of `x` are proved race-free (nothing stores to it), those of `y`
+    // are tracked; the local-memory `reverse` kernel's load runs in a
+    // phase that stores nothing, its store is tracked. So all four
+    // clc_race_{proved,tracked}_total{kind} counters move.
     {
         use clgemm_clc::{Arg, BufData, ExecOptions, NdRange, Program};
         let plain = r"__kernel void saxpy(__global const float* x,
@@ -271,7 +275,15 @@ fn main() {
             int i = get_global_id(0);
             if (i < n) { y[i] = a * x[i] + y[i]; }
         }";
-        for src in [plain, guarded] {
+        let reverse = r"__kernel void saxpy(__global const float* x,
+                                        __global float* y, float a, int n) {
+            __local float t[64];
+            int l = get_local_id(0);
+            t[l] = a * x[get_global_id(0)];
+            barrier(1);
+            y[get_global_id(0)] = t[63 - l] + y[get_global_id(0)];
+        }";
+        for src in [plain, guarded, reverse] {
             let prog = Program::compile(src).expect("saxpy compiles");
             let kernel = prog.kernel("saxpy").expect("kernel present");
             assert!(
@@ -335,6 +347,10 @@ fn main() {
         "routine_convert_on_pack_total",
         "routine_batch_path_total{path=\"direct\"}",
         "routine_batch_path_total{path=\"packed\"}",
+        "clc_race_proved_total{kind=\"global\"}",
+        "clc_race_proved_total{kind=\"local\"}",
+        "clc_race_tracked_total{kind=\"global\"}",
+        "clc_race_tracked_total{kind=\"local\"}",
         "predict_cold_start_total",
         "tuning_db_hit_total",
         "tuning_db_miss_total",
