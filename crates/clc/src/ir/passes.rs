@@ -28,13 +28,15 @@
 //! `simplify` merges all `Br` chains in one sweep; DCE marks liveness
 //! with a worklist over def sites (each value is expanded once, however
 //! long the chain); CSE keys ops on a hashable structural key, with
-//! constants compared as bit patterns; and `fold`, `cse` and `simplify`
+//! constants compared as bit patterns, hashed with the shim's
+//! fixed-state multiply hasher; and `fold`, `cse` and `simplify`
 //! keep their substitutions in dense per-value `Alias` tables.
 
 use super::{Block, CompileStats, Edge, Func, Op, OpKind, Term, Val};
 use crate::ast::{Base, BinOp};
 use crate::lower::{RegClass, WiFunc};
 use crate::vm::{self, Value};
+use clgemm_shim::hash::FixedState;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -434,7 +436,9 @@ impl Hash for CseKey {
 fn cse(f: &mut Func, st: &mut CompileStats) -> bool {
     let mut changed = false;
     let mut alias = Alias::new(f);
-    let mut seen: HashMap<CseKey, Val> = HashMap::new();
+    // Probed only through `entry`, never iterated, so the hasher cannot
+    // move a plan.
+    let mut seen: HashMap<CseKey, Val, FixedState> = HashMap::with_hasher(FixedState);
     for b in &mut f.blocks {
         seen.clear();
         seen.reserve(b.ops.len());

@@ -13,7 +13,9 @@
 //!   re-measure the fastest 50 across all `N` multiples of LCM up to
 //!   8192, pick the winner, then functionally verify it end-to-end
 //!   (generate → compile → execute in the VM → compare against the
-//!   reference GEMM).
+//!   reference GEMM). Stage 1 scores the space while visiting it, one
+//!   pool task per (work-group shape, tile) point, and never
+//!   materialises the candidate list.
 
 pub mod search;
 pub mod space;

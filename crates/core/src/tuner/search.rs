@@ -3,12 +3,14 @@
 use crate::codegen::{generate, KERNEL_NAME};
 use crate::executor::run_native;
 use crate::params::KernelParams;
+use crate::predict::{FeasibleSet, PruneReason};
 use crate::profile::launch_profile;
-use crate::tuner::space::SearchSpace;
+use crate::tuner::space::{SearchSpace, TilePoint};
 use clgemm_blas::layout::round_up;
 use clgemm_blas::scalar::Precision;
 use clgemm_clc::{Arg, BufData, ExecOptions, Program};
 use clgemm_device::{estimate, DeviceKind, DeviceSpec};
+use clgemm_shim::par::par_task_map;
 use clgemm_shim::{Json, JsonError};
 use clgemm_trace::Registry;
 
@@ -55,7 +57,7 @@ impl Default for SearchOpts {
 }
 
 /// One measured kernel: parameters plus achieved GFlop/s.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     pub params: KernelParams,
     /// Problem size of the best measurement.
@@ -85,7 +87,7 @@ impl Measurement {
 }
 
 /// The outcome of one tuning run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningResult {
     pub device: String,
     pub precision: Precision,
@@ -223,7 +225,116 @@ fn noise_factor(seed: u64, idx: usize, amp: f64) -> f64 {
     1.0 + amp * (2.0 * u - 1.0)
 }
 
+/// A stage-1 measurement. `key` is (point, index among the candidates
+/// the point keeps): points cover consecutive runs of the enumeration
+/// order, so keys order exactly like indices into the materialised
+/// (and, with `predictor_prune`, filtered) candidate list.
+#[derive(Clone, Copy)]
+struct Scored {
+    key: (usize, usize),
+    gflops: f64,
+    params: KernelParams,
+}
+
+/// Fastest first, ties by key: the order of a stable sort by GFlop/s.
+fn faster(a: &Scored, b: &Scored) -> std::cmp::Ordering {
+    b.gflops
+        .partial_cmp(&a.gflops)
+        .expect("finite gflops")
+        .then(a.key.cmp(&b.key))
+}
+
+/// Keep the first `k` of `v` by [`faster`], in no particular order.
+fn keep_fastest(v: &mut Vec<Scored>, k: usize) {
+    if k == 0 {
+        v.clear();
+    } else if k < v.len() {
+        v.select_nth_unstable_by(k - 1, faster);
+        v.truncate(k);
+    }
+}
+
+/// What stage 1 saw below one (work-group shape, tile) point.
+#[derive(Default)]
+struct Stage1Part {
+    seen: usize,
+    /// Candidates the feasible set kept (all of them without one).
+    kept: usize,
+    /// Candidates the feasible set rejected, by [`PruneReason::index`].
+    rejected: [u64; PruneReason::ALL.len()],
+    /// Kept candidates the timing model could launch.
+    launched: usize,
+    /// The point's fastest `top_k`, unordered.
+    fastest: Vec<Scored>,
+}
+
+/// Stage 1 over a space's (work-group shape, tile) points, one pool
+/// task per point.
+struct Stage1<'a> {
+    space: &'a SearchSpace,
+    dev: &'a DeviceSpec,
+    points: Vec<TilePoint>,
+    base: usize,
+    opts: &'a SearchOpts,
+}
+
+impl Stage1<'_> {
+    /// Per point, the candidates `feasible` keeps.
+    fn kept_per_point(&self, feasible: Option<&FeasibleSet>) -> Vec<usize> {
+        par_task_map(self.points.len(), |t| {
+            let mut kept = 0;
+            self.space.visit(&self.points[t], self.dev, |p| {
+                kept += usize::from(feasible.is_none_or(|f| f.admits(&p)));
+            });
+            kept
+        })
+    }
+
+    /// Visit each candidate, drop it if `feasible` rejects it, score the
+    /// rest at their stage-1 size and keep each point's fastest `top_k`.
+    /// `offsets[t]`, the number of candidates kept before point `t`, is
+    /// needed only with noise, which is keyed by a candidate's index in
+    /// the kept list.
+    fn run(&self, feasible: Option<&FeasibleSet>, offsets: Option<&[usize]>) -> Vec<Stage1Part> {
+        let opts = self.opts;
+        par_task_map(self.points.len(), |t| {
+            let mut part = Stage1Part::default();
+            self.space.visit(&self.points[t], self.dev, |p| {
+                part.seen += 1;
+                if let Some(reason) = feasible.and_then(|f| f.reject(&p)) {
+                    part.rejected[reason.index()] += 1;
+                    return;
+                }
+                let key = (t, part.kept);
+                part.kept += 1;
+                let Some(g) = measure_gflops(&p, self.dev, stage1_n(&p, self.base)) else {
+                    return;
+                };
+                part.launched += 1;
+                let idx = offsets.map_or(0, |o| o[t] + key.1);
+                part.fastest.push(Scored {
+                    key,
+                    gflops: g * noise_factor(opts.noise_seed, idx, opts.noise),
+                    params: p,
+                });
+                if part.fastest.len() >= opts.top_k.saturating_mul(2).max(1) {
+                    keep_fastest(&mut part.fastest, opts.top_k);
+                }
+            });
+            keep_fastest(&mut part.fastest, opts.top_k);
+            part
+        })
+    }
+}
+
 /// Run the full three-stage search.
+///
+/// Stage 1 never materialises the space: one pool task per
+/// (work-group shape, tile) point of [`SearchSpace::tile_points`]
+/// visits the candidates below it, drops those the feasible set rejects
+/// (with `predictor_prune`), scores the rest and keeps its own fastest
+/// `top_k`. The result equals scoring [`SearchSpace::enumerate`]'s list
+/// in order and keeping the first `top_k` of a stable sort by GFlop/s.
 #[must_use]
 pub fn tune(
     dev: &DeviceSpec,
@@ -235,63 +346,60 @@ pub fn tune(
     let reg = Registry::global();
     reg.counter("tuner_runs_total").inc();
 
-    let base = opts.stage1_base.unwrap_or_else(|| stage1_base(dev));
-    let enumerate_span = clgemm_trace::span!("tuner.enumerate");
-    let mut candidates = space.enumerate(dev, precision);
-    drop(enumerate_span);
-    let n_candidates = candidates.len();
-    reg.counter("tuner_candidates_total")
-        .add(n_candidates as u64);
-
-    // ---- stage 0 (optional): analytical feasible-set pruning -----------
-    let mut pruned = 0usize;
-    if opts.predictor_prune {
-        use crate::predict::{FeasibleSet, PruneReason};
-        let feasible = FeasibleSet::derive(dev, precision);
-        let mut tally = [0u64; PruneReason::ALL.len()];
-        let kept: Vec<KernelParams> = candidates
-            .iter()
-            .copied()
-            .filter(|p| match feasible.reject(p) {
-                None => true,
-                Some(r) => {
-                    tally[r.index()] += 1;
-                    false
-                }
-            })
-            .collect();
+    // ---- stage 1: visit and measure everything at its base size -------
+    // With `predictor_prune`, the analytical feasible set drops
+    // candidates before they are measured.
+    let stage1_span = clgemm_trace::span!("tuner.stage1");
+    let stage1 = Stage1 {
+        space,
+        dev,
+        points: space.tile_points(dev, precision),
+        base: opts.stage1_base.unwrap_or_else(|| stage1_base(dev)),
+        opts,
+    };
+    let mut feasible = opts
+        .predictor_prune
+        .then(|| FeasibleSet::derive(dev, precision));
+    let parts = loop {
+        // Noise is keyed by the index in the kept list: a counting pass
+        // first gives each point its offset.
+        let offsets = (opts.noise != 0.0).then(|| {
+            let mut offsets = stage1.kept_per_point(feasible.as_ref());
+            let mut sum = 0;
+            for o in &mut offsets {
+                (*o, sum) = (sum, sum + *o);
+            }
+            offsets
+        });
+        let parts = stage1.run(feasible.as_ref(), offsets.as_deref());
         // The built-in profiles never empty the space, but an exotic
         // spec must degrade to the unpruned search, not panic.
-        if !kept.is_empty() {
-            pruned = n_candidates - kept.len();
-            candidates = kept;
-            for (reason, &count) in PruneReason::ALL.iter().zip(&tally) {
-                if count > 0 {
-                    reg.counter_labeled(
-                        "tuner_pruned_total",
-                        &[("stage", "1"), ("reason", reason.tag())],
-                    )
-                    .add(count);
-                }
+        if feasible.is_none() || parts.iter().any(|p| p.kept > 0) {
+            break parts;
+        }
+        feasible = None;
+    };
+    drop(stage1_span);
+    let total = |count: fn(&Stage1Part) -> usize| parts.iter().map(count).sum::<usize>();
+    let (n_candidates, kept) = (total(|p| p.seen), total(|p| p.kept));
+    let survivors = total(|p| p.launched);
+    reg.counter("tuner_candidates_total")
+        .add(n_candidates as u64);
+    // Pruning counters are created at the point of use — a search whose
+    // space never prunes should not register an eternally-zero metric.
+    if feasible.is_some() {
+        for (i, reason) in PruneReason::ALL.iter().enumerate() {
+            let count: u64 = parts.iter().map(|p| p.rejected[i]).sum();
+            if count > 0 {
+                reg.counter_labeled(
+                    "tuner_pruned_total",
+                    &[("stage", "1"), ("reason", reason.tag())],
+                )
+                .add(count);
             }
         }
     }
-
-    // ---- stage 1: measure everything at its base size ------------------
-    let stage1_span = clgemm_trace::span!("tuner.stage1", n_candidates as u64);
-    let stage1: Vec<(usize, f64, usize)> =
-        clgemm_shim::par::par_map(&candidates, |idx, p: &KernelParams| {
-            let n = stage1_n(p, base);
-            let g = measure_gflops(p, dev, n)?;
-            Some((idx, g * noise_factor(opts.noise_seed, idx, opts.noise), n))
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    drop(stage1_span);
-    let failures = candidates.len() - stage1.len();
-    // Pruning counters are created at the point of use — a search whose
-    // space never prunes should not register an eternally-zero metric.
+    let failures = kept - survivors;
     if failures > 0 {
         reg.counter_labeled(
             "tuner_pruned_total",
@@ -301,21 +409,12 @@ pub fn tune(
     }
 
     // ---- stage 2: sweep the fastest top_k across LCM multiples ---------
-    // Fastest first, ties by candidate index: exactly the first `top_k`
-    // of a stable sort by GFlop/s, without sorting the rest.
+    // Each point's fastest `top_k` holds every global top-`top_k` member
+    // it owns, so the first `top_k` of their union are the global ones.
     let rank_span = clgemm_trace::span!("tuner.rank");
-    let order = |a: &(usize, f64, usize), b: &(usize, f64, usize)| {
-        b.1.partial_cmp(&a.1)
-            .expect("finite gflops")
-            .then(a.0.cmp(&b.0))
-    };
-    let mut ranked = stage1;
-    let survivors = ranked.len();
-    if opts.top_k > 0 && opts.top_k < survivors {
-        ranked.select_nth_unstable_by(opts.top_k - 1, order);
-    }
-    ranked.truncate(opts.top_k);
-    ranked.sort_unstable_by(order);
+    let mut ranked: Vec<Scored> = parts.into_iter().flat_map(|p| p.fastest).collect();
+    keep_fastest(&mut ranked, opts.top_k);
+    ranked.sort_unstable_by(faster);
     drop(rank_span);
     if survivors > ranked.len() {
         reg.counter_labeled("tuner_pruned_total", &[("stage", "2"), ("reason", "rank")])
@@ -323,14 +422,13 @@ pub fn tune(
     }
     if let Some(leader) = ranked.first() {
         // Best-so-far after the coarse stage; refined again after stage 3.
-        reg.gauge("tuner_best_gflops").set(leader.1);
+        reg.gauge("tuner_best_gflops").set(leader.gflops);
     }
 
     let stage2_span = clgemm_trace::span!("tuner.stage2", ranked.len() as u64);
-    let sweeps: Vec<(usize, Vec<(usize, f64)>)> =
-        clgemm_shim::par::par_map(&ranked, |_, entry: &(usize, f64, usize)| {
-            let idx = entry.0;
-            let p = &candidates[idx];
+    let sweeps: Vec<(KernelParams, Vec<(usize, f64)>)> =
+        clgemm_shim::par::par_map(&ranked, |_, entry: &Scored| {
+            let p = &entry.params;
             let lcm = p.lcm_block().max(1);
             let n_points = (opts.max_n / lcm).max(1);
             let step = (n_points / opts.max_sweep_points).max(1);
@@ -343,7 +441,7 @@ pub fn tune(
                 }
                 mult += step;
             }
-            (idx, sweep)
+            (*p, sweep)
         });
     drop(stage2_span);
 
@@ -351,13 +449,13 @@ pub fn tune(
     let stage3_span = clgemm_trace::span!("tuner.stage3");
     let mut top: Vec<Measurement> = sweeps
         .iter()
-        .filter_map(|(idx, sweep)| {
+        .filter_map(|(params, sweep)| {
             let (n, g) = sweep
                 .iter()
                 .copied()
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))?;
             Some(Measurement {
-                params: candidates[*idx],
+                params: *params,
                 n,
                 gflops: g,
             })
@@ -372,7 +470,7 @@ pub fn tune(
     let best = top[0].clone();
     let sweep = sweeps
         .iter()
-        .find(|(idx, _)| candidates[*idx] == best.params)
+        .find(|(params, _)| *params == best.params)
         .map(|(_, s)| s.clone())
         .unwrap_or_default();
     drop(stage3_span);
@@ -400,7 +498,7 @@ pub fn tune(
         sweep,
         candidates: n_candidates,
         failures,
-        pruned,
+        pruned: n_candidates - kept,
         verified,
     }
 }

@@ -147,21 +147,41 @@ impl SearchSpace {
     }
 
     /// Enumerate all valid candidates for the device, in loop-nest order
-    /// over the fields above, then the loader shapes. Each rule of the
-    /// parameter rule table is checked at the first loop that fixes every
-    /// knob it reads, pruning the subtree below it, so the innermost
-    /// loops only push. Axes are walked in first-occurrence order with
-    /// repeats skipped, and distinct axis values give distinct parameter
-    /// sets (`Mwi = Mwg/MdimC`), so the output has no duplicates. Loader
-    /// shapes `MdimA`/`NdimB` are chosen once per `Kwg`: the work-group's
-    /// own extent for an unstaged operand, else the admitted siblings
-    /// (that extent and twice it), else the first admitted divisor of the
-    /// work-group size, so local-memory candidates are not lost.
+    /// over the fields above, then the loader shapes: the candidates
+    /// below each of [`tile_points`](Self::tile_points), in order, as
+    /// [`visit`](Self::visit) walks them. Each rule of the parameter
+    /// rule table is checked at the first loop that fixes every knob it
+    /// reads, pruning the subtree below it, so the innermost loops only
+    /// emit. Axes are walked in first-occurrence order with repeats
+    /// skipped, and distinct axis values give distinct parameter sets
+    /// (`Mwi = Mwg/MdimC`), so the output has no duplicates. Loader
+    /// shapes `MdimA`/`NdimB` are chosen once per `Kwg`: the
+    /// work-group's own extent for an unstaged operand, else the
+    /// admitted siblings (that extent and twice it), else the first
+    /// admitted divisor of the work-group size, so local-memory
+    /// candidates are not lost.
+    ///
+    /// [`tune`](crate::tuner::tune) never builds this list: it visits
+    /// the points in parallel and scores each candidate as it is
+    /// visited. Strategies, benches and tests that want the whole space
+    /// collect it here.
     #[must_use]
     pub fn enumerate(&self, dev: &DeviceSpec, precision: Precision) -> Vec<KernelParams> {
         let mut out = Vec::new();
+        for point in self.tile_points(dev, precision) {
+            self.visit(&point, dev, |p| out.push(p));
+        }
+        out
+    }
+
+    /// The (work-group shape, tile) points of the space whose rules
+    /// hold: the two outer loops of [`enumerate`](Self::enumerate), in
+    /// its order.
+    #[must_use]
+    pub fn tile_points(&self, dev: &DeviceSpec, precision: Precision) -> Vec<TilePoint> {
+        let mut out = Vec::new();
         // Each loop sets its knobs before any rule reads them and before
-        // any candidate is pushed, so the starting values never show.
+        // any candidate is made, so the starting values never show.
         let mut p = crate::params::tahiti_dgemm_best();
         p.precision = precision;
         for &(mdimc, ndimc) in distinct(&self.wg_shapes) {
@@ -171,45 +191,53 @@ impl SearchSpace {
             }
             for &(mwi, nwi) in distinct(&self.wi_tiles) {
                 (p.mwg, p.nwg) = (mdimc * mwi, ndimc * nwi);
-                if p.mwg.max(p.nwg) > self.max_wg_tile
-                    || !p.satisfies(const { decided(WG, TILE) }, dev)
+                if p.mwg.max(p.nwg) <= self.max_wg_tile
+                    && p.satisfies(const { decided(WG, TILE) }, dev)
                 {
+                    out.push(TilePoint(p));
+                }
+            }
+        }
+        out
+    }
+
+    /// Call `f` on every candidate below `point`, in the order
+    /// [`enumerate`](Self::enumerate) lists them: the loops from `Kwg`
+    /// down to the loader shapes.
+    pub fn visit(&self, point: &TilePoint, dev: &DeviceSpec, mut f: impl FnMut(KernelParams)) {
+        let mut p = point.0;
+        for &kwg in distinct(&self.kwg) {
+            p.kwg = kwg;
+            if !p.satisfies(const { decided(TILE, KWG) }, dev) {
+                continue;
+            }
+            let shapes = [Operand::A, Operand::B].map(|side| side.shapes(&p, dev));
+            for &kwi in distinct(&self.kwi) {
+                p.kwi = kwi;
+                if !p.satisfies(const { decided(KWG, KWI) }, dev) {
                     continue;
                 }
-                for &kwg in distinct(&self.kwg) {
-                    p.kwg = kwg;
-                    if !p.satisfies(const { decided(TILE, KWG) }, dev) {
+                for &vw in distinct(&self.vw) {
+                    p.vw = vw;
+                    if !p.satisfies(const { decided(KWI, VW) }, dev) {
                         continue;
                     }
-                    let shapes = [Operand::A, Operand::B].map(|side| side.shapes(&p, dev));
-                    for &kwi in distinct(&self.kwi) {
-                        p.kwi = kwi;
-                        if !p.satisfies(const { decided(KWG, KWI) }, dev) {
-                            continue;
-                        }
-                        for &vw in distinct(&self.vw) {
-                            p.vw = vw;
-                            if !p.satisfies(const { decided(KWI, VW) }, dev) {
-                                continue;
-                            }
-                            for &(sm, sn) in distinct(&self.strides) {
-                                (p.stride_m, p.stride_n) = (sm, sn);
-                                for &(la, lb) in distinct(&self.layouts) {
-                                    (p.layout_a, p.layout_b) = (la, lb);
-                                    for &alg in distinct(&self.algorithms) {
-                                        p.algorithm = alg;
-                                        for &(loc_a, loc_b) in distinct(&self.locals) {
-                                            (p.local_a, p.local_b) = (loc_a, loc_b);
-                                            if !p.satisfies(const { decided(VW, LOCALS) }, dev) {
-                                                continue;
-                                            }
-                                            let ma = shapes[0][usize::from(loc_a)];
-                                            let nb = shapes[1][usize::from(loc_b)];
-                                            for mdima in ma.into_iter().flatten() {
-                                                for ndimb in nb.into_iter().flatten() {
-                                                    out.push(KernelParams { mdima, ndimb, ..p });
-                                                }
-                                            }
+                    for &(sm, sn) in distinct(&self.strides) {
+                        (p.stride_m, p.stride_n) = (sm, sn);
+                        for &(la, lb) in distinct(&self.layouts) {
+                            (p.layout_a, p.layout_b) = (la, lb);
+                            for &alg in distinct(&self.algorithms) {
+                                p.algorithm = alg;
+                                for &(loc_a, loc_b) in distinct(&self.locals) {
+                                    (p.local_a, p.local_b) = (loc_a, loc_b);
+                                    if !p.satisfies(const { decided(VW, LOCALS) }, dev) {
+                                        continue;
+                                    }
+                                    let ma = shapes[0][usize::from(loc_a)];
+                                    let nb = shapes[1][usize::from(loc_b)];
+                                    for mdima in ma.into_iter().flatten() {
+                                        for ndimb in nb.into_iter().flatten() {
+                                            f(KernelParams { mdima, ndimb, ..p });
                                         }
                                     }
                                 }
@@ -219,9 +247,16 @@ impl SearchSpace {
                 }
             }
         }
-        out
     }
 }
+
+/// One (work-group shape, tile) point of a [`SearchSpace`]: a parameter
+/// set whose precision, `MdimC`/`NdimC` and `Mwg`/`Nwg` are fixed and
+/// pass every rule that reads only them. Made by
+/// [`SearchSpace::tile_points`]; [`SearchSpace::visit`] walks the
+/// candidates below it.
+#[derive(Debug, Clone, Copy)]
+pub struct TilePoint(KernelParams);
 
 // The knobs a rule can read that are fixed once each loop of `enumerate`
 // has set its own; the stride, layout and algorithm loops decide no rule.

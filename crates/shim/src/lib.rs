@@ -4,11 +4,13 @@
 //! The build environment for this repository is fully offline: no
 //! registry, no vendored sources. Rather than gating functionality behind
 //! missing dependencies, this crate provides the small slices of
-//! `serde_json`, `rand`, `rayon` and `criterion` the workspace actually
-//! uses:
+//! `serde_json`, `rand`, `rayon`, `rustc-hash` and `criterion` the
+//! workspace actually uses:
 //!
 //! * [`json`] — a JSON value type with a strict parser and a
 //!   pretty-printer (replaces `serde_json` for persistence).
+//! * [`hash`] — a fixed-state multiply hasher for tables keyed by
+//!   values the program makes itself (replaces `rustc-hash`).
 //! * [`rng`] — a seedable xoshiro256** generator with the handful of
 //!   sampling helpers the search strategies and property tests need
 //!   (replaces `rand` / `proptest`'s case generation).
@@ -27,6 +29,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bench;
+pub mod hash;
 pub mod json;
 pub mod par;
 pub mod rng;

@@ -4,9 +4,11 @@
 //! map over a slice (`par_iter().enumerate().map(...)`) and parallel
 //! mutation of fixed-size output chunks (`par_chunks_mut`). Work is
 //! statically partitioned into one contiguous range per task — the
-//! workloads here (per-candidate timing-model evaluations, per-row GEMM
-//! accumulation, per-entry batched GEMMs) are uniform enough that
-//! stealing would buy nothing.
+//! workloads here (per-row GEMM accumulation, per-entry batched GEMMs,
+//! work-group launches) are uniform enough that stealing would buy
+//! nothing. [`par_task_map`] is the one exception: it hands out many
+//! small tasks of uneven cost (the tuner's stage 1, one search-space
+//! point per task), which the pool's threads claim one at a time.
 //!
 //! The pool holds `available_parallelism() − 1` workers, started by the
 //! first parallel call and blocked on a condition variable between
@@ -295,6 +297,24 @@ where
     out.into_iter().map(|v| v.expect("worker result")).collect()
 }
 
+/// Parallel map with one task per index, claimed dynamically:
+/// `out[t] = f(t)` for `t` in `0..n`. Each pool thread takes the next
+/// unclaimed task when it finishes one, so tasks of uneven cost still
+/// keep every thread busy, where [`par_range_map`]'s one static range
+/// per thread would leave a thread idle behind a heavy range. Results
+/// come back in task order.
+pub fn par_task_map<R, F>(n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    run_parts(out.iter_mut().collect(), |t, slot| *slot = Some(f(t)));
+    out.into_iter()
+        .map(|v| v.expect("every task ran"))
+        .collect()
+}
+
 /// Parallel mutation of consecutive `chunk`-sized pieces of `data`;
 /// `f(chunk_index, chunk)` like `par_chunks_mut().enumerate()`.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
@@ -524,6 +544,61 @@ mod tests {
             par_map(&items, |_, v| v + 1).iter().sum::<u64>(),
             64 * 65 / 2
         );
+    }
+
+    #[test]
+    fn par_task_map_returns_results_in_task_order() {
+        for n in [0, 1, 2, 1000] {
+            assert_eq!(
+                par_task_map(n, |t| t * 3 + 1),
+                (0..n).map(|t| t * 3 + 1).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_task_map_runs_each_uneven_task_once() {
+        use std::sync::atomic::AtomicUsize;
+        // One task in eight sleeps, the rest return at once, so the
+        // threads claim very different numbers of tasks.
+        let n = 96;
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let out = par_task_map(n, |t| {
+            if t % 8 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            runs[t].fetch_add(1, Ordering::Relaxed);
+            t
+        });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+        for (t, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "task {t}");
+        }
+    }
+
+    #[test]
+    fn a_par_task_map_panic_reaches_the_caller_and_the_pool_survives() {
+        let result = panic::catch_unwind(|| {
+            par_task_map(64, |t| {
+                assert!(t != 17, "task panic");
+                t
+            })
+        });
+        let payload = result.expect_err("the task's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("task panic"));
+        assert_eq!(par_task_map(64, |t| t).iter().sum::<usize>(), 63 * 64 / 2);
+    }
+
+    #[test]
+    fn a_par_task_map_inside_a_task_runs_inline() {
+        let inline = par_task_map(8, |_| {
+            let outer = std::thread::current().id();
+            par_task_map(50, |_| std::thread::current().id())
+                .iter()
+                .all(|&inner| inner == outer)
+        });
+        assert_eq!(inline, vec![true; 8]);
     }
 
     #[test]

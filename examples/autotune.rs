@@ -4,6 +4,9 @@
 //! cargo run --release -p clgemm --example autotune -- fermi sgemm
 //! cargo run --release -p clgemm --example autotune -- tahiti dgemm --smoke
 //! ```
+//!
+//! Exits 1 when the winner fails functional verification (generate →
+//! compile → run in the clc VM → compare with the native executor).
 
 use clgemm::prelude::*;
 
@@ -65,5 +68,10 @@ fn main() {
         if i % show_every == 0 {
             println!("  N={n:<6} {g:>8.1} GF");
         }
+    }
+
+    if !res.verified {
+        eprintln!("the winner failed functional verification");
+        std::process::exit(1);
     }
 }

@@ -7,12 +7,19 @@
 //! `KernelParams::validate`, the tile cap and the device capacities, and
 //! that were not seen before. Both must give the same `Vec`, in the same
 //! order, because stage 1 breaks ties and keys its noise by index.
+//!
+//! `tune` scores the space while visiting it and never builds that
+//! `Vec`. `reference_tune` below is the materialising search it
+//! replaced; every `TuningResult` field must match it, with and without
+//! the feasible set, with and without noise, on the smoke, full and
+//! random spaces.
 
 use std::collections::{HashMap, HashSet};
 
 use clgemm::params::{small_test_params, Algorithm, KernelParams, StrideMode};
-use clgemm::tuner::search::{measure_gflops, stage1_base, stage1_n};
-use clgemm::tuner::{tune, Measurement, SearchOpts, SearchSpace};
+use clgemm::predict::FeasibleSet;
+use clgemm::tuner::search::{measure_gflops, stage1_base, stage1_n, verify_kernel};
+use clgemm::tuner::{tune, Measurement, SearchOpts, SearchSpace, TuningResult};
 use clgemm_blas::layout::BlockLayout;
 use clgemm_blas::scalar::Precision;
 use clgemm_device::{DeviceId, DeviceSpec};
@@ -221,10 +228,10 @@ fn pairs<T: Copy>(values: &[T]) -> Vec<(T, T)> {
         .collect()
 }
 
-/// Random spaces with repeated values, zeros, `vw = 3`, work-groups
-/// above 1024 and tile caps below every tile.
-#[test]
-fn random_spaces_match_the_reference() {
+/// 240 seeded random spaces, each with a profile and a precision:
+/// repeated values, zeros, `vw = 3`, work-groups above 1024 and tile
+/// caps below every tile.
+fn random_spaces() -> Vec<(DeviceSpec, Precision, SearchSpace)> {
     use BlockLayout::{Cbl, Rbl, RowMajor};
     let shapes = pairs(&[0usize, 1, 2, 3, 4, 8, 16, 24, 32, 64]);
     let tiles = pairs(&[0usize, 1, 2, 3, 4, 6, 8]);
@@ -232,22 +239,31 @@ fn random_spaces_match_the_reference() {
     let flags = pairs(&[false, true]);
     let layouts = pairs(&[Cbl, Rbl, RowMajor]);
     let mut rng = Rng::new(0x5eed_5ace);
+    (0..240)
+        .map(|_| {
+            let dev = rng.choose(&DeviceId::ALL).expect("profiles").spec();
+            let precision = *rng.choose(&PRECISIONS).expect("precisions");
+            let space = SearchSpace {
+                wg_shapes: axis(&mut rng, &[(8, 8), (16, 8), (8, 16), (16, 16)], &shapes, 3),
+                wi_tiles: axis(&mut rng, &[(2, 2), (4, 4), (6, 2), (8, 8)], &tiles, 3),
+                kwg: axis(&mut rng, &[16, 32], &[0, 8, 16, 24, 32, 48, 64], 2),
+                kwi: axis(&mut rng, &[1, 2], &[0, 1, 2, 3, 4, 8], 2),
+                vw: axis(&mut rng, &[1, 2], &[0, 1, 2, 3, 4, 8, 16], 2),
+                strides: axis(&mut rng, &strides, &strides, 1),
+                locals: axis(&mut rng, &flags, &flags, 2),
+                layouts: axis(&mut rng, &layouts, &layouts, 1),
+                algorithms: axis(&mut rng, &[Algorithm::Ba], &Algorithm::ALL, 2),
+                max_wg_tile: *rng.choose(&[0, 64, 160, 160, 1024]).expect("caps"),
+            };
+            (dev, precision, space)
+        })
+        .collect()
+}
+
+#[test]
+fn random_spaces_match_the_reference() {
     let mut nonempty = 0;
-    for _ in 0..240 {
-        let dev = rng.choose(&DeviceId::ALL).expect("profiles").spec();
-        let precision = *rng.choose(&PRECISIONS).expect("precisions");
-        let space = SearchSpace {
-            wg_shapes: axis(&mut rng, &[(8, 8), (16, 8), (8, 16), (16, 16)], &shapes, 3),
-            wi_tiles: axis(&mut rng, &[(2, 2), (4, 4), (6, 2), (8, 8)], &tiles, 3),
-            kwg: axis(&mut rng, &[16, 32], &[0, 8, 16, 24, 32, 48, 64], 2),
-            kwi: axis(&mut rng, &[1, 2], &[0, 1, 2, 3, 4, 8], 2),
-            vw: axis(&mut rng, &[1, 2], &[0, 1, 2, 3, 4, 8, 16], 2),
-            strides: axis(&mut rng, &strides, &strides, 1),
-            locals: axis(&mut rng, &flags, &flags, 2),
-            layouts: axis(&mut rng, &layouts, &layouts, 1),
-            algorithms: axis(&mut rng, &[Algorithm::Ba], &Algorithm::ALL, 2),
-            max_wg_tile: *rng.choose(&[0, 64, 160, 160, 1024]).expect("caps"),
-        };
+    for (dev, precision, space) in random_spaces() {
         assert_matches_reference(&space, &dev, precision);
         nonempty += usize::from(!space.enumerate(&dev, precision).is_empty());
     }
@@ -380,4 +396,253 @@ fn stage2_keeps_the_stable_top_k_on_every_smoke_space() {
         }
     }
     assert!(tied_spaces > 0, "no smoke space has an exact stage-1 tie");
+}
+
+/// The parent's per-candidate noise factor in `[1-amp, 1+amp]`, keyed
+/// by the candidate's index in the (pruned) candidate list.
+fn noise_factor(seed: u64, idx: usize, amp: f64) -> f64 {
+    if amp == 0.0 {
+        return 1.0;
+    }
+    let mut x = seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+    1.0 + amp * (2.0 * u - 1.0)
+}
+
+/// The materialising search `tune` replaced, kept as its oracle:
+/// enumerate the whole space, filter it through the feasible set (the
+/// whole space again when that keeps nothing), score every candidate
+/// with noise keyed by its index, keep the first `top_k` of a stable
+/// sort by GFlop/s, sweep them, and pick the best sweep.
+fn reference_tune(
+    dev: &DeviceSpec,
+    precision: Precision,
+    space: &SearchSpace,
+    opts: &SearchOpts,
+) -> TuningResult {
+    let base = opts.stage1_base.unwrap_or_else(|| stage1_base(dev));
+    let mut candidates = space.enumerate(dev, precision);
+    let n_candidates = candidates.len();
+    let mut pruned = 0;
+    if opts.predictor_prune {
+        let feasible = FeasibleSet::derive(dev, precision);
+        let kept: Vec<KernelParams> = candidates
+            .iter()
+            .copied()
+            .filter(|p| feasible.admits(p))
+            .collect();
+        if !kept.is_empty() {
+            pruned = n_candidates - kept.len();
+            candidates = kept;
+        }
+    }
+    let mut ranked: Vec<(usize, f64)> = candidates
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, p)| {
+            let g = measure_gflops(p, dev, stage1_n(p, base))?;
+            Some((idx, g * noise_factor(opts.noise_seed, idx, opts.noise)))
+        })
+        .collect();
+    let failures = candidates.len() - ranked.len();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    ranked.truncate(opts.top_k);
+
+    let sweeps: Vec<(usize, Vec<(usize, f64)>)> = ranked
+        .iter()
+        .map(|&(idx, _)| {
+            let p = &candidates[idx];
+            let lcm = p.lcm_block().max(1);
+            let n_points = (opts.max_n / lcm).max(1);
+            let step = (n_points / opts.max_sweep_points).max(1);
+            let mut sweep = Vec::new();
+            let mut mult = 1;
+            while mult * lcm <= opts.max_n {
+                let n = mult * lcm;
+                if let Some(g) = measure_gflops(p, dev, n) {
+                    sweep.push((n, g));
+                }
+                mult += step;
+            }
+            (idx, sweep)
+        })
+        .collect();
+    let mut top: Vec<Measurement> = sweeps
+        .iter()
+        .filter_map(|(idx, sweep)| {
+            let (n, gflops) = sweep
+                .iter()
+                .copied()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())?;
+            Some(Measurement {
+                params: candidates[*idx],
+                n,
+                gflops,
+            })
+        })
+        .collect();
+    top.sort_by(|a, b| b.gflops.partial_cmp(&a.gflops).unwrap());
+    assert!(
+        !top.is_empty(),
+        "search space produced no launchable kernels"
+    );
+    let best = top[0].clone();
+    let sweep = sweeps
+        .iter()
+        .find(|(idx, _)| candidates[*idx] == best.params)
+        .map(|(_, s)| s.clone())
+        .unwrap_or_default();
+    let verified = opts.verify_winner && verify_kernel(&best.params).is_ok();
+    TuningResult {
+        device: dev.code_name.clone(),
+        precision,
+        efficiency: best.gflops / dev.peak_gflops(precision == Precision::F64),
+        best,
+        top,
+        sweep,
+        candidates: n_candidates,
+        failures,
+        pruned,
+        verified,
+    }
+}
+
+fn assert_tunes_like_the_reference(
+    dev: &DeviceSpec,
+    precision: Precision,
+    space: &SearchSpace,
+    opts: &SearchOpts,
+) -> TuningResult {
+    let got = tune(dev, precision, space, opts);
+    let want = reference_tune(dev, precision, space, opts);
+    assert_eq!(
+        got, want,
+        "{} {precision:?} top_k={} prune={} noise={}",
+        dev.code_name, opts.top_k, opts.predictor_prune, opts.noise
+    );
+    got
+}
+
+/// Quick options: a short sweep, no verification.
+fn quick(top_k: usize, predictor_prune: bool, noise: f64) -> SearchOpts {
+    SearchOpts {
+        top_k,
+        max_sweep_points: 4,
+        verify_winner: false,
+        noise,
+        noise_seed: 42,
+        predictor_prune,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn smoke_spaces_tune_like_the_reference() {
+    for id in DeviceId::ALL {
+        let dev = id.spec();
+        for precision in PRECISIONS {
+            let space = SearchSpace::smoke(&dev);
+            let every = space.enumerate(&dev, precision).len() + 1;
+            for top_k in [1, 50, every] {
+                for prune in [false, true] {
+                    for noise in [0.0, 0.03] {
+                        assert_tunes_like_the_reference(
+                            &dev,
+                            precision,
+                            &space,
+                            &quick(top_k, prune, noise),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn full_spaces_tune_like_the_reference() {
+    for id in DeviceId::TABLE1 {
+        let dev = id.spec();
+        let space = SearchSpace::for_device(&dev);
+        for precision in PRECISIONS {
+            for predictor_prune in [false, true] {
+                let opts = SearchOpts {
+                    verify_winner: false,
+                    predictor_prune,
+                    ..Default::default()
+                };
+                assert_tunes_like_the_reference(&dev, precision, &space, &opts);
+            }
+        }
+    }
+    // One noisy, pruned and verified full search: the counting pass
+    // must give each point the offset of its kept candidates.
+    let dev = DeviceId::Tahiti.spec();
+    let opts = SearchOpts {
+        noise: 0.03,
+        noise_seed: 7,
+        predictor_prune: true,
+        ..Default::default()
+    };
+    let res = assert_tunes_like_the_reference(
+        &dev,
+        Precision::F64,
+        &SearchSpace::for_device(&dev),
+        &opts,
+    );
+    assert!(res.verified && res.pruned > 0);
+}
+
+#[test]
+fn random_spaces_tune_like_the_reference() {
+    let mut rng = Rng::new(0x7e57_ab1e);
+    let mut searched = 0;
+    for (dev, precision, space) in random_spaces() {
+        let every = space.enumerate(&dev, precision).len() + 1;
+        let opts = quick(
+            *rng.choose(&[1, 50, every]).expect("top_k"),
+            rng.range(0, 2) == 1,
+            *rng.choose(&[0.0, 0.03]).expect("noise"),
+        );
+        // A space with no launchable candidate panics on both sides.
+        let run =
+            |search: fn(&DeviceSpec, Precision, &SearchSpace, &SearchOpts) -> TuningResult| {
+                std::panic::catch_unwind(|| search(&dev, precision, &space, &opts)).ok()
+            };
+        let got = run(tune);
+        assert_eq!(got, run(reference_tune), "{}", dev.code_name);
+        searched += usize::from(got.is_some());
+    }
+    assert!(
+        searched >= 150,
+        "only {searched} random spaces were searched"
+    );
+}
+
+/// A row-major-only space loses every candidate to the feasible set, so
+/// the pruned search falls back to the whole space and reports nothing
+/// pruned.
+#[test]
+fn an_emptied_feasible_set_falls_back_to_the_whole_space() {
+    let row_major = vec![(BlockLayout::RowMajor, BlockLayout::RowMajor)];
+    for id in DeviceId::ALL {
+        let dev = id.spec();
+        let space = SearchSpace::smoke(&dev).with_layouts(row_major.clone());
+        for precision in PRECISIONS {
+            for noise in [0.0, 0.03] {
+                let res = assert_tunes_like_the_reference(
+                    &dev,
+                    precision,
+                    &space,
+                    &quick(50, true, noise),
+                );
+                assert_eq!(res.pruned, 0, "{id:?} {precision:?}");
+                let unpruned = tune(&dev, precision, &space, &quick(50, false, noise));
+                assert_eq!(res, unpruned, "{id:?} {precision:?}");
+            }
+        }
+    }
 }
