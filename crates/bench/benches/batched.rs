@@ -8,7 +8,7 @@
 //! an f16 convert-on-pack row), and forced direct vs forced packed
 //! timings across the crossover edge sweep. Smoke mode
 //! (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the regression gate: batched
-//! must beat the looped single calls by ≥ 2× at batch 64 / 128³ f32,
+//! must beat the looped single calls by ≥ 1.25× at batch 64 / 128³ f32,
 //! the direct path must beat the packed path at 32³, and repeated
 //! batched calls must perform zero steady-state workspace growths.
 
@@ -149,8 +149,11 @@ fn main() {
 
     if smoke {
         // CI gate 1: one batched call beats the loop of single calls by
-        // at least 2x at batch 64 / 128^3 f32 — the regime the batched
-        // entry point exists for.
+        // at least 1.25x at batch 64 / 128^3 f32 — the regime the batched
+        // entry point exists for. Both sides run the panel microkernel
+        // there, so the gain is the batch's one plan, serial per-entry
+        // packs and entry-level parallelism; the bar was 2x while the
+        // looped singles ran the slower tuned-layout kernel.
         let (batch, edge) = (64, 128);
         let mut sc = Scenario::<f32>::new(batch, edge);
         let mut lp = Looped::<f32>::new(batch, edge);
@@ -165,8 +168,8 @@ fn main() {
             looped / batched
         );
         assert!(
-            batched * 2.0 <= looped,
-            "batched call ({}) must be at least 2x the looped singles ({})",
+            batched * 1.25 <= looped,
+            "batched call ({}) must be at least 1.25x the looped singles ({})",
             fmt_secs(batched),
             fmt_secs(looped)
         );

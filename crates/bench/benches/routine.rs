@@ -1,28 +1,29 @@
 //! Routine-layer host data path bench: the reference pipeline (serial
-//! packing, `run_native`, fresh allocations) vs the fast engine
-//! (parallel packing, panel microkernel, reusable workspace).
+//! tuned-layout packing, `run_native`, staged `C`, fresh allocations) vs
+//! the fast engine (panel packing, register-blocked microkernel updating
+//! `C` in place, reusable workspace).
 //!
-//! Full runs time each phase in isolation (pack, stage, merge, kernel —
-//! old vs new) plus whole `gemm_with` calls for both precisions, a
-//! register-tile shape sweep across every shape the SIMD-aware selector
-//! can pick, and a flagship 1024³ f32 NN case once per engine. Results
-//! land in `BENCH_routine.json` at the repo root with pairwise speedups
-//! and the tiles the host selector chose (the sweep is how the
-//! selector's candidate-table ordering is validated).
+//! Full runs time packing one operand and the kernel in isolation (old
+//! vs new) plus whole `gemm_with` calls for both precisions, a
+//! microkernel shape sweep around the shape the register budget derives,
+//! and a flagship 1024³ f32 NN case once per engine. Results land in
+//! `BENCH_routine.json` at the repo root with pairwise speedups, the
+//! sweep's GFlop/s and the tile each precision runs.
 //!
 //! Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) is the regression
 //! gate: the fast engine must not be slower than the reference on a
 //! mid-size call; steady-state repeat calls — including hybrid
 //! direct-path traffic — must perform **zero** workspace growths; the
-//! checked-in `BENCH_routine.json` must record the selected tiles; and
-//! the flagship fast time must stay within slack of that baseline.
+//! checked-in `BENCH_routine.json` must record the selected tiles; the
+//! flagship fast time must stay within slack of that baseline; and the
+//! microkernel must beat `run_native` by a fixed ratio at 256³.
 
-use clgemm::executor::{run_native, run_native_fast, Tile};
+use clgemm::executor::{panel_widths, run_microkernel, run_native, run_panels};
 use clgemm::params::{small_test_params, tahiti_dgemm_best};
 use clgemm::routine::{GemmOptions, GemmPath, HybridGemm, TunedGemm};
-use clgemm::tile::TileSelector;
+use clgemm::tile::{microkernel_tile, TileDecision, VECTOR_BITS, VECTOR_REGISTERS};
 use clgemm_blas::matrix::{Matrix, StorageOrder};
-use clgemm_blas::pack::{merge, merge_c, pack, pack_into, pack_operand, stage, stage_c, PackSpec};
+use clgemm_blas::pack::{pack_into, pack_operand, pack_panels, stage_c, PackSpec};
 use clgemm_blas::scalar::{Precision, Scalar};
 use clgemm_blas::workspace::{Workspace, WorkspaceScalar};
 use clgemm_blas::{GemmType, Trans};
@@ -83,137 +84,198 @@ fn prec_tag<T: Scalar>() -> &'static str {
     }
 }
 
-/// Phase-split benches for one precision at one size.
+/// The kernel-phase problem at one size: `op(A)`/`op(B)` packed both
+/// ways, the tuned layouts `run_native` reads and the microkernel panels
+/// of an `mr × nr` tile, plus a `C` to update.
+struct KernelCase<T: Scalar> {
+    p: clgemm::params::KernelParams,
+    a: Matrix<T>,
+    b: Matrix<T>,
+    pa: Vec<T>,
+    da: clgemm_blas::layout::PackedDims,
+    pb: Vec<T>,
+    db: clgemm_blas::layout::PackedDims,
+    c: Matrix<T>,
+}
+
+impl<T: WorkspaceScalar> KernelCase<T> {
+    fn new(m: usize, n: usize, k: usize) -> KernelCase<T> {
+        let p = small_test_params(T::PRECISION);
+        let a = Matrix::<T>::test_pattern(m, k, StorageOrder::ColMajor, 1);
+        let b = Matrix::<T>::test_pattern(k, n, StorageOrder::ColMajor, 4);
+        let spec = |trans, layout, wwg| PackSpec {
+            trans,
+            layout,
+            wwg,
+            kwg: p.kwg,
+        };
+        let (pa, da) = pack_operand(&a, spec(Trans::Yes, p.layout_a, p.mwg), k, m);
+        let (pb, db) = pack_operand(&b, spec(Trans::No, p.layout_b, p.nwg), k, n);
+        let c = Matrix::<T>::test_pattern(m, n, StorageOrder::ColMajor, 3);
+        KernelCase {
+            p,
+            a,
+            b,
+            pa,
+            da,
+            pb,
+            db,
+            c,
+        }
+    }
+
+    /// `op(A)` and `op(B)` packed into `wa`- and `wb`-wide panels.
+    fn panels(&self, wa: usize, wb: usize) -> (Vec<T>, Vec<T>) {
+        let (m, k, n) = (self.a.rows(), self.a.cols(), self.b.cols());
+        let mut pa = vec![T::ZERO; k * m.div_ceil(wa) * wa];
+        let mut pb = vec![T::ZERO; k * n.div_ceil(wb) * wb];
+        pack_panels(self.a.view(), Trans::Yes, wa, &mut pa, false);
+        pack_panels(self.b.view(), Trans::No, wb, &mut pb, false);
+        (pa, pb)
+    }
+
+    /// `op(A)` and `op(B)` packed for the build's microkernel.
+    fn microkernel_panels(&self) -> (Vec<T>, Vec<T>) {
+        let (wa, wb) = panel_widths(T::PRECISION, self.c.view().is_col_major());
+        self.panels(wa, wb)
+    }
+
+    /// One reference kernel call (tuned layouts, staged `C`).
+    fn reference(&self, staged: &mut [T]) {
+        let (p, da, db) = (&self.p, self.da, self.db);
+        run_native(
+            da.width,
+            db.width,
+            da.k,
+            T::from_f64(1.25),
+            &self.pa,
+            da,
+            p.layout_a,
+            &self.pb,
+            db,
+            p.layout_b,
+            T::from_f64(-0.5),
+            staged,
+        );
+    }
+
+    /// One call of the build's microkernel on panels packed for it.
+    fn fast(&mut self, pa: &[T], pb: &[T]) {
+        let k = self.a.cols();
+        let pad = self.da.k > k;
+        let (alpha, beta) = (T::from_f64(1.25), T::from_f64(-0.5));
+        run_microkernel(k, alpha, pa, pb, beta, self.c.view_mut(), pad);
+    }
+}
+
+/// Phase-split benches for one precision at one size: packing one
+/// operand (tuned layout vs microkernel panels) and the kernel itself.
 fn bench_phases<T: WorkspaceScalar>(h: &mut Harness, m: usize, n: usize, k: usize) {
-    let p = small_test_params(if T::PREC_TAG == 'D' {
-        Precision::F64
-    } else {
-        Precision::F32
-    });
-    let (a, _b, c) = matrices::<T>(m, n, k);
+    let mut case = KernelCase::<T>::new(m, n, k);
+    let p = case.p;
+    let tag = prec_tag::<T>();
     let spec = PackSpec {
         trans: Trans::Yes,
         layout: p.layout_a,
         wwg: p.mwg,
         kwg: p.kwg,
     };
-    let (oracle, dims) = pack_operand(&a, spec, k, m);
-    let tag = prec_tag::<T>();
-
-    let mut buf = vec![T::ZERO; dims.len()];
+    let mut buf = vec![T::ZERO; case.da.len()];
     h.bench(&format!("routine/pack_{tag}_reference"), || {
-        pack_into(&a, spec, k, m, &mut buf, dims);
+        pack_into(&case.a, spec, k, m, &mut buf, case.da);
     });
+    let (wa, _) = panel_widths(T::PRECISION, true);
+    let mut panels = vec![T::ZERO; k * m.div_ceil(wa) * wa];
     h.bench(&format!("routine/pack_{tag}_fast"), || {
-        pack(a.view(), spec, &mut buf, dims, false);
-    });
-    assert_eq!(buf, oracle, "parallel pack diverged during bench");
-
-    let staged_oracle = stage_c(&c, p.mwg, p.nwg);
-    let mut staged = vec![T::ZERO; staged_oracle.len()];
-    h.bench(&format!("routine/stage_{tag}_reference"), || {
-        std::hint::black_box(stage_c(&c, p.mwg, p.nwg));
-    });
-    h.bench(&format!("routine/stage_{tag}_fast"), || {
-        stage(c.view(), p.mwg, p.nwg, &mut staged, false);
-    });
-    assert_eq!(staged, staged_oracle, "parallel stage diverged");
-
-    let mut out = c.clone();
-    h.bench(&format!("routine/merge_{tag}_reference"), || {
-        merge_c(&staged, p.mwg, p.nwg, &mut out);
-    });
-    h.bench(&format!("routine/merge_{tag}_fast"), || {
-        merge(&staged, p.mwg, p.nwg, out.view_mut(), false);
+        pack_panels(case.a.view(), Trans::Yes, wa, &mut panels, false);
     });
 
-    // Kernel phase: packed operands for a square padded problem.
-    let spec_b = PackSpec {
-        trans: Trans::No,
-        layout: p.layout_b,
-        wwg: p.nwg,
-        kwg: p.kwg,
-    };
-    let b_src = Matrix::<T>::test_pattern(k, n, StorageOrder::ColMajor, 4);
-    let (pa, da) = pack_operand(&a, spec, k, m);
-    let (pb, db) = pack_operand(&b_src, spec_b, k, n);
-    let (mp, np, kp) = (da.width, db.width, da.k);
-    let mut ck = vec![T::ZERO; mp * np];
-    let alpha = T::from_f64(1.25);
-    let beta = T::from_f64(-0.5);
+    let mut staged = stage_c(&case.c, p.mwg, p.nwg);
     h.bench(&format!("routine/kernel_{tag}_reference"), || {
-        run_native(
-            mp, np, kp, alpha, &pa, da, p.layout_a, &pb, db, p.layout_b, beta, &mut ck,
-        );
+        case.reference(&mut staged);
     });
-    let tile = TileSelector::host()
-        .select(p.precision, (p.mwi(), p.nwi()), mp, np)
-        .tile;
+    let (pa, pb) = case.microkernel_panels();
     h.bench(&format!("routine/kernel_{tag}_fast"), || {
-        run_native_fast(
-            mp, np, kp, alpha, &pa, da, p.layout_a, &pb, db, p.layout_b, beta, &mut ck, tile,
-        );
+        case.fast(&pa, &pb)
     });
 }
 
-/// Register-tile shape sweep: the union of every shape the selector's
-/// candidate tables can pick, timed on the packed kernel problem. This
-/// is the measurement that orders (and re-orders) those tables.
-fn bench_tile_sweep<T: WorkspaceScalar>(h: &mut Harness, m: usize, n: usize, k: usize) {
-    const SWEEP: [(usize, usize); 18] = [
-        (2, 2),
-        (6, 2),
-        (8, 2),
-        (2, 4),
-        (4, 4),
-        (8, 4),
-        (12, 4),
-        (16, 4),
-        (8, 6),
-        (2, 8),
-        (4, 8),
-        (8, 8),
-        (16, 8),
-        (8, 12),
-        (2, 16),
-        (4, 16),
+/// Run `run_panels` with each listed `MR × NR` tile on the kernel-phase
+/// problem, recording `routine/tile_{MR}x{NR}_{tag}`. `C` is
+/// column-major, so the tiles run over its transpose, as
+/// `run_microkernel` runs them.
+macro_rules! sweep {
+    ($h:expr, $t:ty, $case:expr, $(($mr:literal, $nr:literal)),+ $(,)?) => {{
+        let case: &mut KernelCase<$t> = $case;
+        let k = case.a.cols();
+        let pad = case.da.k > k;
+        $(
+            let (pa, pb) = case.panels($nr, $mr);
+            $h.bench(&format!("routine/tile_{}x{}_{}", $mr, $nr, prec_tag::<$t>()), || {
+                let c = case.c.view_mut().transposed();
+                run_panels::<$t, $mr, $nr>(k, 1.25, &pb, &pa, -0.5, c, pad);
+            });
+        )+
+    }};
+}
+
+/// Microkernel shape sweep: the shape the register budget derives for
+/// each precision next to taller, shorter, wider and narrower ones,
+/// timed on the kernel-phase problem. The derivation picks the shape;
+/// this sweep confirms it (the smoke gate holds the pick to a measured
+/// speed). The lists assume the 8/4-lane, 32-register AVX-512 build.
+fn bench_tile_sweep(h: &mut Harness, m: usize, n: usize, k: usize) {
+    let mut case = KernelCase::<f32>::new(m, n, k);
+    sweep!(
+        h,
+        f32,
+        &mut case,
+        (4, 32),
+        (6, 32),
+        (8, 32),
+        (14, 32),
+        (6, 24),
+        (8, 24),
+        (6, 16),
         (8, 16),
+        (12, 16),
+        (14, 16),
         (16, 16),
-    ];
-    let p = small_test_params(if T::PREC_TAG == 'D' {
-        Precision::F64
-    } else {
-        Precision::F32
-    });
-    let tag = prec_tag::<T>();
-    let a = Matrix::<T>::test_pattern(m, k, StorageOrder::ColMajor, 1);
-    let b = Matrix::<T>::test_pattern(k, n, StorageOrder::ColMajor, 4);
-    let spec_a = PackSpec {
-        trans: Trans::Yes,
-        layout: p.layout_a,
-        wwg: p.mwg,
-        kwg: p.kwg,
-    };
-    let spec_b = PackSpec {
-        trans: Trans::No,
-        layout: p.layout_b,
-        wwg: p.nwg,
-        kwg: p.kwg,
-    };
-    let (pa, da) = pack_operand(&a, spec_a, k, m);
-    let (pb, db) = pack_operand(&b, spec_b, k, n);
-    let (mp, np, kp) = (da.width, db.width, da.k);
-    let mut ck = vec![T::ZERO; mp * np];
-    let alpha = T::from_f64(1.25);
-    let beta = T::from_f64(-0.5);
-    for (mr, nr) in SWEEP {
-        let tile = Tile::new(mr, nr).expect("sweep shapes are within the register budget");
-        h.bench(&format!("routine/tile_{mr}x{nr}_{tag}"), || {
-            run_native_fast(
-                mp, np, kp, alpha, &pa, da, p.layout_a, &pb, db, p.layout_b, beta, &mut ck, tile,
-            );
-        });
-    }
+        (12, 8),
+    );
+    let mut case = KernelCase::<f64>::new(m, n, k);
+    sweep!(
+        h,
+        f64,
+        &mut case,
+        (4, 16),
+        (6, 16),
+        (8, 16),
+        (14, 16),
+        (6, 12),
+        (8, 12),
+        (6, 8),
+        (8, 8),
+        (12, 8),
+        (14, 8),
+        (16, 8),
+        (12, 4),
+    );
+}
+
+/// `run_native` time over the build's microkernel time on the
+/// kernel-phase problem at `n³`: one reference call against the best of
+/// five microkernel calls.
+fn kernel_ratio<T: WorkspaceScalar>(n: usize) -> f64 {
+    let mut case = KernelCase::<T>::new(n, n, n);
+    let (pa, pb) = case.microkernel_panels();
+    let mut staged = stage_c(&case.c, case.p.mwg, case.p.nwg);
+    let reference = time_once(|| case.reference(&mut staged));
+    case.fast(&pa, &pb);
+    let fast = (0..5)
+        .map(|_| time_once(|| case.fast(&pa, &pb)))
+        .fold(f64::INFINITY, f64::min);
+    reference / fast
 }
 
 /// Whole-call benches for one precision at one size.
@@ -369,7 +431,28 @@ fn main() {
             fmt_secs(baseline)
         );
 
-        // CI regression gate 6: observability overhead, two claims.
+        // CI regression gate 6: the microkernel against the reference
+        // kernel on the full bench's 256³ kernel-phase problem. The bars
+        // are 1.75× the ratios the tuned-layout tile kernel this one
+        // replaced reached there (33.6× f32, 17.8× f64), so a shape that
+        // falls out of registers or out of the vectoriser's good graces
+        // (10× slower in the shape sweep) trips it.
+        for (precision, bar) in [(Precision::F32, 1.75 * 33.6), (Precision::F64, 1.75 * 17.8)] {
+            let ratio = match precision {
+                Precision::F32 => kernel_ratio::<f32>(256),
+                Precision::F64 => kernel_ratio::<f64>(256),
+            };
+            println!(
+                "routine smoke gate (kernel 256^3 {precision}, tile {}): {ratio:.1}x run_native (bar {bar:.1}x)",
+                microkernel_tile(precision)
+            );
+            assert!(
+                ratio >= bar,
+                "{precision} microkernel only {ratio:.1}x run_native, below {bar:.1}x"
+            );
+        }
+
+        // CI regression gate 7: observability overhead, two claims.
         //
         // (a) Tracing *disabled* (the default, what the flagship above
         // ran with) must cost the routine under 5% of a flagship call.
@@ -458,8 +541,7 @@ fn main() {
     bench_phases::<f64>(&mut h, m, n, k);
     bench_calls::<f32>(&mut h, m, n, k);
     bench_calls::<f64>(&mut h, m, n, k);
-    bench_tile_sweep::<f32>(&mut h, m, n, k);
-    bench_tile_sweep::<f64>(&mut h, m, n, k);
+    bench_tile_sweep(&mut h, m, n, k);
     let mut rows: Vec<(String, f64)> = h.results().to_vec();
 
     // Flagship: 1024³ f32 NN, one whole call per engine.
@@ -542,21 +624,47 @@ fn main() {
             }
         }
     }
-    // Record what the host selector chose for the tuned blockings (the
+    // Record the tile each precision runs next to the tuned blocking (the
     // smoke gate asserts this section exists and names concrete tiles).
     let level = SimdLevel::detect();
-    let selector = TileSelector::host();
     let mut selected: Vec<Json> = Vec::new();
     for precision in [Precision::F32, Precision::F64] {
         let p = small_test_params(precision);
-        let d = selector.select(precision, (p.mwi(), p.nwi()), 1024, 1024);
+        let d = TileDecision::new(precision, (p.mwi(), p.nwi()));
         selected.push(Json::obj(vec![
             ("precision", Json::Str(precision.to_string())),
             ("simd", Json::Str(level.tag().to_string())),
+            ("vector_bits", Json::Num(VECTOR_BITS as f64)),
+            ("registers", Json::Num(VECTOR_REGISTERS as f64)),
             ("lanes", Json::Num(d.lanes as f64)),
             ("tuned", Json::Str(format!("{}x{}", d.tuned.0, d.tuned.1))),
             ("selected", Json::Str(d.tile.to_string())),
-            ("reason", Json::Str(d.reason.tag().to_string())),
+        ]));
+    }
+    // The shape sweep with GFlop/s, the derived shape marked.
+    let flops = 2.0 * (m * n * k) as f64;
+    let mut sweep: Vec<Json> = Vec::new();
+    for (name, secs) in &rows {
+        let Some(rest) = name.strip_prefix("routine/tile_") else {
+            continue;
+        };
+        let (shape, tag) = rest
+            .split_once('_')
+            .expect("tile rows end in the precision");
+        let precision = if tag == "f64" {
+            Precision::F64
+        } else {
+            Precision::F32
+        };
+        sweep.push(Json::obj(vec![
+            ("precision", Json::Str(precision.to_string())),
+            ("tile", Json::Str(shape.to_string())),
+            ("seconds", Json::Num(*secs)),
+            ("gflops", Json::Num(flops / secs / 1e9)),
+            (
+                "selected",
+                Json::Bool(microkernel_tile(precision).to_string() == shape),
+            ),
         ]));
     }
     let doc = Json::obj(vec![
@@ -565,6 +673,7 @@ fn main() {
         ("results", Json::Arr(entries)),
         ("fast_vs_reference", Json::Arr(speedups)),
         ("selected_tile", Json::Arr(selected)),
+        ("tile_sweep", Json::Arr(sweep)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routine.json");
     std::fs::write(path, doc.to_string_compact()).expect("write BENCH_routine.json");

@@ -104,8 +104,8 @@ impl BlockLayout {
     /// How many consecutive depth positions share the [`Self::depth_stride`]
     /// from an aligned start: walking `p` from a multiple of this run
     /// length, `offset(p + d, w) == offset(p, w) + d · depth_stride` for
-    /// all `d` inside the run. The fast host microkernel uses this to
-    /// hoist all offset arithmetic out of its FMA loop.
+    /// all `d` inside the run, so a kernel walking the depth can hoist
+    /// its offset arithmetic out of the FMA loop.
     #[must_use]
     pub fn depth_run(self, dims: PackedDims) -> usize {
         match self {

@@ -4,7 +4,11 @@
 //! fast `AᵀB` kernel can run, each operand is copied (with transposition
 //! where the GEMM type requires it) into a zero-padded staging buffer laid
 //! out in one of the Fig. 3 layouts; after the kernel, the padded `C` tile
-//! is merged back into the user matrix.
+//! is merged back into the user matrix. The reference engine runs these
+//! copies ([`pack_into`], [`stage_c`], [`merge_c`]); the fast host path
+//! packs each operand once into microkernel panels ([`pack_panels`]) and
+//! updates the caller's `C` in place, one strip per thread
+//! ([`ViewMut::par_row_strips`]).
 //!
 //! The copy is `O(N²)` work against the kernel's `O(N³)`, which is exactly
 //! why the paper's routine is slow at small `N` and amortised at large `N`
@@ -89,8 +93,8 @@ pub fn pack_into<T: Scalar>(
 /// A borrowed strided `rows × cols` matrix: element `(i, j)` lives at
 /// `data[i·rs + j·cs]`. Row- and column-major [`Matrix`] storage
 /// ([`Matrix::view`]) and a column-major slab entry of a strided batch
-/// look the same through it, so one fast copier per role serves them
-/// all. `D` is `&[S]` for a [`View`], `&mut [S]` for a [`ViewMut`].
+/// look the same through it, so one packer and one in-place update serve
+/// them all. `D` is `&[S]` for a [`View`], `&mut [S]` for a [`ViewMut`].
 #[derive(Debug, Clone, Copy)]
 pub struct Strided<D> {
     data: D,
@@ -134,7 +138,8 @@ impl<'a, S: Copy> ViewMut<'a, S> {
     /// A writable view with row stride `rs` and column stride `cs`, which
     /// must be row- or column-major (one unit stride, a leading dimension
     /// covering the other extent): rows or columns never overlap, so
-    /// [`merge`] can hand disjoint runs of them to threads.
+    /// [`ViewMut::par_row_strips`] can hand disjoint runs of them to
+    /// threads.
     ///
     /// # Panics
     /// Panics if the view overruns `data` or its rows or columns overlap.
@@ -169,6 +174,91 @@ impl<'a, S: Copy> ViewMut<'a, S> {
             }
         }
     }
+
+    /// Merge a register tile into a row-major view: element `(i0 + i,
+    /// j0 + j)` becomes `f(tile[i][j], old)`, one contiguous row run per
+    /// tile row. Rows or columns of the tile past the view's edge are
+    /// dropped.
+    #[inline]
+    pub fn merge_tile<A: Copy, const MR: usize, const NR: usize>(
+        &mut self,
+        i0: usize,
+        j0: usize,
+        tile: &[[A; NR]; MR],
+        f: impl Fn(A, S) -> S,
+    ) {
+        debug_assert_eq!(self.cs, 1, "merge_tile needs contiguous rows");
+        let nh = NR.min(self.cols - j0);
+        for (i, row) in tile.iter().enumerate().take(self.rows - i0) {
+            let line = &mut self.data[(i0 + i) * self.rs + j0..][..nh];
+            for (cell, v) in line.iter_mut().zip(row) {
+                *cell = f(*v, *cell);
+            }
+        }
+    }
+}
+
+impl<'a, S: Copy + Send> ViewMut<'a, S> {
+    /// Split a row-major view into strips of `mr` whole rows and run
+    /// `f(i0, strip)` on each, on `shim::par` threads. A strip is a
+    /// contiguous run of the data, so no two threads touch one element,
+    /// and gaps between rows stay untouched. A column-major view is split
+    /// into column strips through [`Strided::transposed`].
+    ///
+    /// # Panics
+    /// Panics if the view's rows are not contiguous.
+    pub fn par_row_strips(self, mr: usize, f: impl Fn(usize, ViewMut<'_, S>) + Sync) {
+        let Strided {
+            data,
+            rows,
+            cols,
+            rs,
+            cs,
+        } = self;
+        assert!(cs == 1 && rs >= cols, "row strips need contiguous rows");
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        let data = &mut data[..(rows - 1) * rs + cols];
+        clgemm_shim::par::par_chunks_mut(data, mr * rs, |t, strip| {
+            let i0 = t * mr;
+            f(i0, ViewMut::new(strip, mr.min(rows - i0), cols, rs, 1));
+        });
+    }
+}
+
+impl<D> Strided<D> {
+    /// The transposed matrix over the same elements.
+    #[must_use]
+    pub fn transposed(self) -> Self {
+        Strided {
+            data: self.data,
+            rows: self.cols,
+            cols: self.rows,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+
+    /// `false` when rows are contiguous and disjoint (unit column stride,
+    /// a row stride covering the columns); a writable view is
+    /// column-major otherwise.
+    #[must_use]
+    pub fn is_col_major(&self) -> bool {
+        !(self.cs == 1 && self.rs >= self.cols)
+    }
+
+    /// Rows of the viewed matrix.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the viewed matrix.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
 }
 
 /// `f(index, chunk)` over consecutive `chunk`-sized pieces of `data`, on
@@ -188,121 +278,82 @@ fn for_chunks<T: Send>(
     }
 }
 
-/// Copy one destination panel whose element `(pi, wi)` lives at
-/// `pi · wwg + wi`, reading `op(X)[p][w]` at `base + p · sp + w · sw`.
-/// `klim × wlim` is the interior extent; the rest of the panel is the
-/// zero padding fringe and is the only part that gets zero-filled.
+/// Copy one `k`-deep destination panel whose element `(pi, wi)` lives at
+/// `pi · w + wi`, reading `op(X)[p][w]` at `base + p · sp + w · sw`.
+/// Columns from `wlim` on are the zero padding fringe.
 #[allow(clippy::too_many_arguments)] // flat hot-path helper
 fn pack_panel<S: StorageScalar>(
     panel: &mut [S::Acc],
-    wwg: usize,
-    rows: usize,
+    w: usize,
     src: &[S],
     base: usize,
     sp: usize,
     sw: usize,
-    klim: usize,
+    k: usize,
     wlim: usize,
 ) {
-    if sp == 1 && klim > 1 {
+    if sp == 1 && k > 1 {
         // Source is contiguous along the depth axis: walk `p` innermost
-        // so the reads stream, at the cost of a small (`wwg`-element)
+        // so the reads stream, at the cost of a small (`w`-element)
         // stride on the cache-resident destination panel.
         for wi in 0..wlim {
-            let src_col = &src[base + wi * sw..][..klim];
+            let src_col = &src[base + wi * sw..][..k];
             for (pi, v) in src_col.iter().enumerate() {
-                panel[pi * wwg + wi] = v.widen();
+                panel[pi * w + wi] = v.widen();
             }
         }
     } else {
         // Source is contiguous (or no better than strided) along the
         // width axis: walk `wi` innermost so the destination writes are
         // sequential.
-        for pi in 0..klim {
+        for pi in 0..k {
             let row_base = base + pi * sp;
-            let dst = &mut panel[pi * wwg..][..wlim];
+            let dst = &mut panel[pi * w..][..wlim];
             for (wi, d) in dst.iter_mut().enumerate() {
                 *d = src[row_base + wi * sw].widen();
             }
         }
     }
-    // Zero only the padding fringe: trailing columns of interior rows,
-    // then whole trailing rows. Reused workspace buffers carry stale
-    // data, and the fringe must read as zero — the kernel's dot products
-    // run over the padded depth and the padded A/B cells contribute
-    // `stale · x` terms to interior C elements otherwise.
-    for pi in 0..klim {
-        panel[pi * wwg + wlim..pi * wwg + wwg].fill(<S::Acc as Scalar>::ZERO);
+    // Zero only the padding fringe. Reused workspace buffers carry stale
+    // data, and the fringe feeds the tile's dropped rows or columns; zero
+    // keeps that work finite and the panels equal to the oracle's.
+    for pi in 0..k {
+        panel[pi * w + wlim..pi * w + w].fill(<S::Acc as Scalar>::ZERO);
     }
-    panel[klim * wwg..rows * wwg].fill(<S::Acc as Scalar>::ZERO);
 }
 
-/// Pack `op(x)` — `k × width`, depth first — into a zero-padded staging
-/// buffer in `spec`'s layout, widening each element into the
-/// accumulation type. Same output as [`pack_into`] on the widened
-/// matrix; the routine and every packed batch entry run this. The
-/// traversal follows the source strides, offset arithmetic is hoisted
-/// out of the inner loops, only the padding fringe is zero-filled, and
-/// contiguous destination blocks go to `shim::par` threads unless
-/// `serial`.
+/// Pack `op(x)` — `k × width`, depth first — into `w`-wide depth-major
+/// panels for the host microkernel, widening each element into the
+/// accumulation type. Panel `q` holds columns `q·w .. q·w + w` of
+/// `op(x)` at `buf[q·w·k ..]`, one `w`-element row per depth step; the
+/// last panel's columns past `width` are zero. This is
+/// [`pack_operand`]'s [`BlockLayout::Cbl`] layout with `wwg = w` and
+/// `kwg = k`. The traversal follows the source strides, only the fringe
+/// is zero-filled, and panels go to `shim::par` threads unless `serial`.
 ///
 /// # Panics
-/// Panics if `buf` does not match `dims` or `op(x)` exceeds them.
-pub fn pack<S: StorageScalar>(
+/// Panics if `buf` is not `k · round_up(width, w)` long.
+pub fn pack_panels<S: StorageScalar>(
     x: View<'_, S>,
-    spec: PackSpec,
+    trans: Trans,
+    w: usize,
     buf: &mut [S::Acc],
-    dims: PackedDims,
     serial: bool,
 ) {
-    assert_eq!(buf.len(), dims.len(), "staging buffer size mismatch");
-    // `op(x)[p][w]` lives at `p · sp + w · sw`.
-    let (k, width, sp, sw) = match spec.trans {
+    // `op(x)[p][i]` lives at `p · sp + i · sw`.
+    let (k, width, sp, sw) = match trans {
         Trans::No => (x.rows, x.cols, x.rs, x.cs),
         Trans::Yes => (x.cols, x.rows, x.cs, x.rs),
     };
-    assert!(
-        k <= dims.k && width <= dims.width,
-        "operand shape mismatch: op(X) is {k}x{width}, padded to {}x{}",
-        dims.k,
-        dims.width
+    assert_eq!(
+        buf.len(),
+        k * round_up(width, w),
+        "panel buffer size mismatch"
     );
-    let src = x.data;
-    match spec.layout {
-        // One K × Wwg column-block is one contiguous destination span.
-        BlockLayout::Cbl => for_chunks(buf, dims.k * dims.wwg, serial, |cb, block| {
-            let w0 = cb * dims.wwg;
-            let wlim = width.saturating_sub(w0).min(dims.wwg);
-            pack_panel(block, dims.wwg, dims.k, src, w0 * sw, sp, sw, k, wlim);
-        }),
-        // One Kwg × W row-block is contiguous; its Kwg × Wwg sub-blocks
-        // are packed panels.
-        BlockLayout::Rbl => for_chunks(buf, dims.kwg * dims.width, serial, |rb, block| {
-            let p0 = rb * dims.kwg;
-            let klim = k.saturating_sub(p0).min(dims.kwg);
-            for (cb, panel) in block.chunks_mut(dims.kwg * dims.wwg).enumerate() {
-                let w0 = cb * dims.wwg;
-                let wlim = width.saturating_sub(w0).min(dims.wwg);
-                let base = p0 * sp + w0 * sw;
-                pack_panel(panel, dims.wwg, dims.kwg, src, base, sp, sw, klim, wlim);
-            }
-        }),
-        // Plain row-major: each depth row is contiguous; a strided source
-        // row is gathered with a hoisted stride.
-        BlockLayout::RowMajor => for_chunks(buf, dims.width, serial, |p, row| {
-            let (interior, fringe) = row.split_at_mut(if p < k { width } else { 0 });
-            if sw == 1 && p < k {
-                for (d, v) in interior.iter_mut().zip(&src[p * sp..][..width]) {
-                    *d = v.widen();
-                }
-            } else {
-                for (w, d) in interior.iter_mut().enumerate() {
-                    *d = src[p * sp + w * sw].widen();
-                }
-            }
-            fringe.fill(<S::Acc as Scalar>::ZERO);
-        }),
-    }
+    for_chunks(buf, k * w, serial, |q, panel| {
+        let w0 = q * w;
+        pack_panel(panel, w, x.data, w0 * sw, sp, sw, k, (width - w0).min(w));
+    });
 }
 
 /// Read one element of a packed operand back out (test/debug helper).
@@ -365,78 +416,6 @@ pub fn stage_c<T: Scalar>(c: &Matrix<T>, mwg: usize, nwg: usize) -> Vec<T> {
     buf
 }
 
-/// Row-tile height for the cache-blocked staged-C copies.
-const C_TILE: usize = 32;
-/// Column-tile width: bounds the staged-row working set while a
-/// column-major `C` is walked with unit stride.
-const C_JTILE: usize = 128;
-
-/// [`stage_c`] from a strided view into a caller-provided (reused)
-/// buffer, widening into the accumulation type; identical output. Row
-/// tiles of the destination are contiguous chunks, on `shim::par`
-/// threads unless `serial`; only the padding fringe is zero-filled.
-///
-/// # Panics
-/// Panics if `buf` does not match [`c_staging_dims`].
-pub fn stage<S: StorageScalar>(
-    c: View<'_, S>,
-    mwg: usize,
-    nwg: usize,
-    buf: &mut [S::Acc],
-    serial: bool,
-) {
-    let (m, n) = (c.rows, c.cols);
-    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
-    assert_eq!(buf.len(), mp * np, "staged C buffer size mismatch");
-    for_chunks(buf, C_TILE * np, serial, |t, rows| {
-        let i0 = t * C_TILE;
-        let ilim = m.saturating_sub(i0).min(rows.len() / np);
-        stage_tile(c, i0, ilim, rows, np);
-        // Fringe: trailing columns of interior rows, then whole padding rows.
-        for ti in 0..ilim {
-            rows[ti * np + n..(ti + 1) * np].fill(<S::Acc as Scalar>::ZERO);
-        }
-        rows[ilim * np..].fill(<S::Acc as Scalar>::ZERO);
-    });
-}
-
-/// Copy user rows `i0 .. i0+ilim` into `ilim` staged row-major rows of
-/// stride `np`. The loop nest follows the source strides: a row-major
-/// source streams row by row; any other keeps its column walk innermost
-/// per staged row and relies on the small row tile staying
-/// cache-resident.
-fn stage_tile<S: StorageScalar>(
-    c: View<'_, S>,
-    i0: usize,
-    ilim: usize,
-    rows: &mut [S::Acc],
-    np: usize,
-) {
-    let n = c.cols;
-    if c.cs == 1 {
-        for ti in 0..ilim {
-            let src = &c.data[(i0 + ti) * c.rs..][..n];
-            for (d, v) in rows[ti * np..][..n].iter_mut().zip(src) {
-                *d = v.widen();
-            }
-        }
-    } else {
-        // Unit-stride writes along each staged row; the strided column
-        // reads stay cache-resident because only C_JTILE distinct source
-        // columns are live per pass.
-        for j0 in (0..n).step_by(C_JTILE) {
-            let jlim = (j0 + C_JTILE).min(n);
-            for ti in 0..ilim {
-                let base = (i0 + ti) * c.rs;
-                let row = &mut rows[ti * np + j0..ti * np + jlim];
-                for (jj, cell) in row.iter_mut().enumerate() {
-                    *cell = c.data[base + (j0 + jj) * c.cs].widen();
-                }
-            }
-        }
-    }
-}
-
 /// Merge the kernel's padded row-major `C` result back into the user
 /// matrix, discarding padding rows/columns.
 pub fn merge_c<T: Scalar>(staged: &[T], mwg: usize, nwg: usize, c: &mut Matrix<T>) {
@@ -446,55 +425,6 @@ pub fn merge_c<T: Scalar>(staged: &[T], mwg: usize, nwg: usize, c: &mut Matrix<T
         for j in 0..c.cols() {
             *c.at_mut(i, j) = staged[i * np + j];
         }
-    }
-}
-
-/// [`merge_c`] into a writable view, narrowing each element with
-/// round-to-nearest-even — the single narrowing step of the
-/// mixed-precision contract; identical result. Work splits over the
-/// destination's contiguous rows or column tiles, on `shim::par` threads
-/// unless `serial`, so each thread writes a disjoint region; gaps
-/// between rows or columns stay untouched.
-///
-/// # Panics
-/// Panics if `staged` does not match [`c_staging_dims`].
-pub fn merge<S: StorageScalar>(
-    staged: &[S::Acc],
-    mwg: usize,
-    nwg: usize,
-    c: ViewMut<'_, S>,
-    serial: bool,
-) {
-    let (m, n) = (c.rows, c.cols);
-    let (mp, np) = c_staging_dims(m, n, mwg, nwg);
-    assert_eq!(staged.len(), mp * np, "staged C buffer size mismatch");
-    if c.cs == 1 && c.rs >= n {
-        // Rows are contiguous: one row per chunk.
-        for_chunks(c.data, c.rs, serial, |i, row| {
-            if i < m {
-                for (d, v) in row[..n].iter_mut().zip(&staged[i * np..][..n]) {
-                    *d = S::narrow(*v);
-                }
-            }
-        });
-    } else {
-        // Columns are contiguous: column tiles per chunk, with the staged
-        // source walked in row tiles so its strided reads stay
-        // cache-resident.
-        let ld = c.cs;
-        for_chunks(c.data, C_JTILE * ld, serial, |t, cols| {
-            let j0 = t * C_JTILE;
-            let jlim = n.saturating_sub(j0).min(C_JTILE);
-            for i0 in (0..m).step_by(C_TILE) {
-                let ilim = (i0 + C_TILE).min(m);
-                for tj in 0..jlim {
-                    let col = &mut cols[tj * ld + i0..tj * ld + ilim];
-                    for (i, cell) in col.iter_mut().enumerate() {
-                        *cell = S::narrow(staged[(i0 + i) * np + j0 + tj]);
-                    }
-                }
-            }
-        });
     }
 }
 
@@ -580,66 +510,72 @@ mod tests {
         let _ = pack_operand(&x, spec, 5, 4);
     }
 
+    /// The panel oracle: `op(x)` through [`pack_operand`] in the CBL
+    /// layout, `w` wide with one depth block.
+    fn panel_oracle<T: Scalar>(x: &Matrix<T>, trans: Trans, w: usize) -> Vec<T> {
+        let (k, width) = x.dims_op(trans);
+        let spec = PackSpec {
+            trans,
+            layout: BlockLayout::Cbl,
+            wwg: w,
+            kwg: k.max(1),
+        };
+        pack_operand(x, spec, k, width).0
+    }
+
+    /// Merge a staged row-major `C` (row stride `np`) into `c` the way
+    /// the microkernel updates the caller's `C`: `MR × 8` tiles through
+    /// [`ViewMut::merge_tile`], in row strips of `MR` rows, a column-major
+    /// `C` through its transpose. Tile cells outside `C` hold a finite
+    /// sentinel, so merging one into an `ld` gap shows.
+    fn merge_by_strips<S: StorageScalar, const MR: usize>(
+        staged: &[S::Acc],
+        np: usize,
+        c: ViewMut<'_, S>,
+    ) {
+        const NR: usize = 8;
+        let col_major = c.is_col_major();
+        let c = if col_major { c.transposed() } else { c };
+        let at = |r: usize, q: usize| {
+            if col_major {
+                staged[q * np + r]
+            } else {
+                staged[r * np + q]
+            }
+        };
+        let sentinel = <S::Acc as Scalar>::from_f64(12345.0);
+        c.par_row_strips(MR, |r0, mut strip| {
+            for q0 in (0..strip.cols()).step_by(NR) {
+                let tile: [[S::Acc; NR]; MR] = std::array::from_fn(|r| {
+                    std::array::from_fn(|q| {
+                        if r < strip.rows() && q0 + q < strip.cols() {
+                            at(r0 + r, q0 + q)
+                        } else {
+                            sentinel
+                        }
+                    })
+                });
+                strip.merge_tile(0, q0, &tile, |v, _| S::narrow(v));
+            }
+        });
+    }
+
     #[test]
     fn pack_into_par_matches_oracle_over_all_shapes() {
         for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
             for trans in [Trans::No, Trans::Yes] {
-                for layout in BlockLayout::ALL {
-                    // Odd source shape against blocking 4×3.
+                // Odd source shape against panel widths below, at and
+                // above both edges.
+                for w in [1, 4, 6, 11, 32] {
                     let x = Matrix::<f64>::test_pattern(13, 11, order, 5);
-                    let (k, width) = x.dims_op(trans);
-                    let spec = PackSpec {
-                        trans,
-                        layout,
-                        wwg: 4,
-                        kwg: 3,
-                    };
-                    let (oracle, dims) = pack_operand(&x, spec, k, width);
+                    let oracle = panel_oracle(&x, trans, w);
                     // Seed the reused buffer with garbage to prove the
                     // fringe is re-zeroed.
-                    let mut buf = vec![f64::NAN; dims.len()];
-                    pack(x.view(), spec, &mut buf, dims, false);
-                    assert_eq!(buf, oracle, "{order:?} {trans:?} {layout}");
+                    let mut buf = vec![f64::NAN; oracle.len()];
+                    pack_panels(x.view(), trans, w, &mut buf, false);
+                    assert_eq!(buf, oracle, "{order:?} {trans:?} w={w}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn stage_c_into_par_matches_oracle_and_rezeros_fringe() {
-        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
-            let c = Matrix::<f32>::test_pattern(37, 41, order, 9);
-            let oracle = stage_c(&c, 16, 16);
-            let mut buf = vec![f32::INFINITY; oracle.len()];
-            stage(c.view(), 16, 16, &mut buf, false);
-            assert_eq!(buf, oracle, "{order:?}");
-        }
-    }
-
-    #[test]
-    fn stage_c_into_par_handles_all_padding_row_tiles() {
-        // Large Mwg pads far past the user rows, so whole row-tiles of the
-        // staged buffer contain no user data at all.
-        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
-            let c = Matrix::<f64>::test_pattern(5, 7, order, 4);
-            let oracle = stage_c(&c, 128, 16);
-            let mut buf = vec![f64::NAN; oracle.len()];
-            stage(c.view(), 128, 16, &mut buf, false);
-            assert_eq!(buf, oracle, "{order:?}");
-        }
-    }
-
-    #[test]
-    fn stage_c_into_matches_parallel_stager() {
-        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
-            let c = Matrix::<f32>::test_pattern(37, 41, order, 9);
-            let oracle = stage_c(&c, 16, 16);
-            let mut serial = vec![f32::NAN; oracle.len()];
-            let mut parallel = serial.clone();
-            stage(c.view(), 16, 16, &mut serial, true);
-            stage(c.view(), 16, 16, &mut parallel, false);
-            assert_eq!(serial, oracle, "{order:?}");
-            assert_eq!(serial, parallel, "{order:?}");
         }
     }
 
@@ -651,7 +587,7 @@ mod tests {
             let mut a = Matrix::<f64>::zeros(37, 29, order);
             let mut b = Matrix::<f64>::zeros(37, 29, order);
             merge_c(&staged, 8, 8, &mut a);
-            merge(&staged, 8, 8, b.view_mut(), false);
+            merge_by_strips::<f64, 6>(&staged, 32, b.view_mut());
             assert_eq!(a, b, "{order:?}");
             assert_eq!(a, src);
         }
@@ -662,7 +598,7 @@ mod tests {
         let src = Matrix::<f64>::test_pattern(10, 6, StorageOrder::ColMajor, 1);
         let staged = stage_c(&src, 4, 4);
         let mut out = Matrix::<f64>::zeros_with_ld(10, 6, 17, StorageOrder::ColMajor);
-        merge(&staged, 4, 4, out.view_mut(), false);
+        merge_by_strips::<f64, 6>(&staged, 8, out.view_mut());
         for j in 0..6 {
             for i in 0..10 {
                 assert_eq!(out.at(i, j), src.at(i, j));
@@ -709,19 +645,12 @@ mod tests {
     #[test]
     fn pack_slice_widen_matches_pack_operand_for_identity_widening() {
         for trans in [Trans::No, Trans::Yes] {
-            for layout in BlockLayout::ALL {
+            for w in [3, 4, 16] {
                 let (src, m) = slice_fixture(13, 11, 19, 5);
-                let (k, width) = m.dims_op(trans);
-                let spec = PackSpec {
-                    trans,
-                    layout,
-                    wwg: 4,
-                    kwg: 3,
-                };
-                let (oracle, dims) = pack_operand(&m, spec, k, width);
-                let mut buf = vec![f64::NAN; dims.len()];
-                pack(View::new(&src, 13, 11, 1, 19), spec, &mut buf, dims, true);
-                assert_eq!(buf, oracle, "{trans:?} {layout}");
+                let oracle = panel_oracle(&m, trans, w);
+                let mut buf = vec![f64::NAN; oracle.len()];
+                pack_panels(View::new(&src, 13, 11, 1, 19), trans, w, &mut buf, true);
+                assert_eq!(buf, oracle, "{trans:?} w={w}");
             }
         }
     }
@@ -743,30 +672,15 @@ mod tests {
                 src[j * ld + i] = F16::narrow(wide.at(i, j));
             }
         }
-        let spec = PackSpec {
-            trans: Trans::No,
-            layout: BlockLayout::Cbl,
-            wwg: 4,
-            kwg: 4,
-        };
-        let (oracle, dims) = pack_operand(&wide, spec, rows, cols);
-        let mut buf = vec![f32::NAN; dims.len()];
-        pack(
+        let oracle = panel_oracle(&wide, Trans::No, 4);
+        let mut buf = vec![f32::NAN; oracle.len()];
+        pack_panels(
             View::new(&src, rows, cols, 1, ld),
-            spec,
+            Trans::No,
+            4,
             &mut buf,
-            dims,
             true,
         );
-        assert_eq!(buf, oracle);
-    }
-
-    #[test]
-    fn stage_slice_widen_matches_stage_c() {
-        let (src, m) = slice_fixture(37, 29, 41, 3);
-        let oracle = stage_c(&m, 16, 8);
-        let mut buf = vec![f64::NAN; oracle.len()];
-        stage(View::new(&src, 37, 29, 1, 41), 16, 8, &mut buf, true);
         assert_eq!(buf, oracle);
     }
 
@@ -775,7 +689,7 @@ mod tests {
         let (src, m) = slice_fixture(10, 6, 17, 1);
         let staged = stage_c(&m, 4, 4);
         let mut out = vec![f64::NAN; src.len()];
-        merge(&staged, 4, 4, ViewMut::new(&mut out, 10, 6, 1, 17), true);
+        merge_by_strips::<f64, 4>(&staged, 8, ViewMut::new(&mut out, 10, 6, 1, 17));
         for j in 0..6 {
             for i in 0..10 {
                 assert_eq!(out[j * 17 + i], m.at(i, j));
@@ -816,75 +730,65 @@ mod tests {
         (slab, (rs, cs), wide)
     }
 
-    /// Every fast copier against its oracle on the widened matrix, for one
-    /// storage type: row- and column-major sources × serial and parallel
-    /// × each geometry, packing under both transposes and every layout.
-    /// Destination buffers start as NaN, so a fringe or interior cell the
-    /// copier skips fails the exact comparison.
+    /// The panel packer and the strip merge against their oracles on the
+    /// widened matrix, for one storage type: row- and column-major
+    /// sources × serial and parallel × each geometry, packing under both
+    /// transposes. Destination buffers start as NaN, so a fringe or
+    /// interior cell the packer skips fails the exact comparison, and
+    /// every ld-gap cell of the merged slab must stay untouched.
     fn copier_table<S: StorageScalar>() {
         let nan = <S::Acc as Scalar>::from_f64(f64::NAN);
-        // (rows, cols, ld padding, mwg = wwg, nwg, kwg)
+        // (rows, cols, ld padding, panel width, strip lines: even 6, odd 5)
         let geometries = [
-            (13, 11, 6, 4, 4, 3),   // odd shape against 4×3 blocking
-            (37, 41, 0, 16, 16, 8), // several row tiles, tight ld
-            (37, 29, 4, 8, 8, 8),   // padded ld
-            (5, 7, 3, 128, 16, 4),  // mwg far above m: all-padding row tiles
-            (10, 6, 7, 4, 4, 4),    // ld 17 against 10 rows
-            (3, 130, 2, 4, 8, 4),   // a second column tile, short last column
+            (13, 11, 6, 4, 5),  // odd shape against 4-wide panels
+            (37, 41, 0, 16, 6), // several panels, tight ld
+            (37, 29, 4, 8, 5),  // padded ld
+            (5, 7, 3, 128, 6),  // one panel far wider than the source
+            (10, 6, 7, 6, 5),   // ld 17 against 10 rows
+            (3, 130, 2, 32, 6), // a short last panel and strip
         ];
-        for (rows, cols, pad, mwg, nwg, kwg) in geometries {
+        for (rows, cols, pad, w, lines) in geometries {
             for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
                 let (slab, (rs, cs), wide) = fixture::<S>(rows, cols, pad, order, 5);
                 let x = View::new(&slab, rows, cols, rs, cs);
                 for serial in [true, false] {
                     let case = format!("{} {rows}x{cols}+{pad} {order:?} serial={serial}", S::NAME);
                     for trans in [Trans::No, Trans::Yes] {
-                        for layout in BlockLayout::ALL {
-                            let spec = PackSpec {
-                                trans,
-                                layout,
-                                wwg: mwg,
-                                kwg,
-                            };
-                            let (k, width) = wide.dims_op(trans);
-                            let (oracle, dims) = pack_operand(&wide, spec, k, width);
-                            let mut buf = vec![nan; dims.len()];
-                            pack(x, spec, &mut buf, dims, serial);
-                            assert_eq!(buf, oracle, "pack {case} {trans:?} {layout}");
-                        }
+                        let oracle = panel_oracle(&wide, trans, w);
+                        let mut buf = vec![nan; oracle.len()];
+                        pack_panels(x, trans, w, &mut buf, serial);
+                        assert_eq!(buf, oracle, "pack {case} {trans:?}");
                     }
+                }
 
-                    let oracle = stage_c(&wide, mwg, nwg);
-                    let mut buf = vec![nan; oracle.len()];
-                    stage(x, mwg, nwg, &mut buf, serial);
-                    assert_eq!(buf, oracle, "stage {case}");
-
-                    let (_, _, other) = fixture::<S>(rows, cols, pad, order, 9);
-                    let staged = stage_c(&other, mwg, nwg);
-                    let mut oracle = wide.clone();
-                    merge_c(&staged, mwg, nwg, &mut oracle);
-                    let mut out = slab.clone();
-                    merge(
-                        &staged,
-                        mwg,
-                        nwg,
-                        ViewMut::new(&mut out, rows, cols, rs, cs),
-                        serial,
-                    );
-                    for (idx, v) in out.iter().enumerate() {
-                        let (i, j) = if rs == 1 {
-                            (idx % cs, idx / cs)
-                        } else {
-                            (idx / rs, idx % rs)
-                        };
-                        if i < rows && j < cols {
-                            assert_eq!(v.widen(), oracle.at(i, j), "merge {case} ({i},{j})");
-                        } else {
-                            assert!(
-                                !v.widen().is_finite(),
-                                "merge {case}: ld gap {idx} overwritten"
-                            );
-                        }
+                let (_, _, other) = fixture::<S>(rows, cols, pad, order, 9);
+                let staged = stage_c(&other, 1, 1);
+                let mut oracle = wide.clone();
+                merge_c(&staged, 1, 1, &mut oracle);
+                let mut out = slab.clone();
+                let view = ViewMut::new(&mut out, rows, cols, rs, cs);
+                if lines % 2 == 0 {
+                    merge_by_strips::<S, 6>(&staged, cols, view);
+                } else {
+                    merge_by_strips::<S, 5>(&staged, cols, view);
+                }
+                for (idx, v) in out.iter().enumerate() {
+                    let (i, j) = if rs == 1 {
+                        (idx % cs, idx / cs)
+                    } else {
+                        (idx / rs, idx % rs)
+                    };
+                    if i < rows && j < cols {
+                        assert_eq!(
+                            v.widen(),
+                            oracle.at(i, j),
+                            "merge {rows}x{cols}+{pad} {order:?} ({i},{j})"
+                        );
+                    } else {
+                        assert!(
+                            !v.widen().is_finite(),
+                            "merge {rows}x{cols}+{pad} {order:?}: ld gap {idx} overwritten"
+                        );
                     }
                 }
             }

@@ -1,7 +1,8 @@
 //! Grow-only staging-buffer pool for the routine layer.
 //!
-//! Every `TunedGemm::gemm` call needs three scratch buffers — packed A,
-//! packed B and the padded staged C. Allocating them fresh per call puts
+//! Every fast `TunedGemm::gemm` call needs two scratch buffers, the
+//! panel-packed A and B (the microkernel updates the caller's `C` in
+//! place, so nothing stages `C`). Allocating them fresh per call puts
 //! an `O(N²)` `vec![0; …]` (allocation **plus** full zero-fill) on the
 //! serving hot path. A [`Workspace`] owns one grow-only buffer per role
 //! and precision: buffers only ever expand, so a steady-state workload
@@ -15,12 +16,11 @@
 
 use crate::scalar::Scalar;
 
-/// The three staging buffers of one precision.
+/// The two packing buffers of one precision.
 #[derive(Debug, Default, Clone)]
 pub struct Pool<T> {
     pa: Vec<T>,
     pb: Vec<T>,
-    c: Vec<T>,
     grows: u64,
 }
 
@@ -32,29 +32,18 @@ impl<T: Scalar> Pool<T> {
         }
     }
 
-    /// Hand out the three buffers at exactly the requested lengths,
-    /// growing backing storage only when a request exceeds every
-    /// previous one.
-    pub fn buffers(
-        &mut self,
-        len_a: usize,
-        len_b: usize,
-        len_c: usize,
-    ) -> (&mut [T], &mut [T], &mut [T]) {
+    /// Hand out both buffers at exactly the requested lengths, growing
+    /// backing storage only when a request exceeds every previous one.
+    pub fn buffers(&mut self, len_a: usize, len_b: usize) -> (&mut [T], &mut [T]) {
         let mut grows = 0;
         Self::ensure(&mut self.pa, len_a, &mut grows);
         Self::ensure(&mut self.pb, len_b, &mut grows);
-        Self::ensure(&mut self.c, len_c, &mut grows);
         self.grows += grows;
-        (
-            &mut self.pa[..len_a],
-            &mut self.pb[..len_b],
-            &mut self.c[..len_c],
-        )
+        (&mut self.pa[..len_a], &mut self.pb[..len_b])
     }
 
     fn held_bytes(&self) -> usize {
-        (self.pa.capacity() + self.pb.capacity() + self.c.capacity()) * std::mem::size_of::<T>()
+        (self.pa.capacity() + self.pb.capacity()) * std::mem::size_of::<T>()
     }
 }
 
@@ -166,56 +155,56 @@ mod tests {
     #[test]
     fn buffers_have_requested_lengths() {
         let mut ws = Workspace::new();
-        let (pa, pb, c) = ws.pool::<f64>().buffers(10, 20, 30);
-        assert_eq!((pa.len(), pb.len(), c.len()), (10, 20, 30));
+        let (pa, pb) = ws.pool::<f64>().buffers(10, 20);
+        assert_eq!((pa.len(), pb.len()), (10, 20));
     }
 
     #[test]
     fn shrinking_then_growing_reuses_storage() {
         let mut ws = Workspace::new();
-        ws.pool::<f32>().buffers(100, 100, 100);
-        assert_eq!(ws.grows(), 3);
+        ws.pool::<f32>().buffers(100, 100);
+        assert_eq!(ws.grows(), 2);
         let bytes = ws.held_bytes();
         // Smaller request: no growth, same storage.
-        ws.pool::<f32>().buffers(10, 10, 10);
-        assert_eq!(ws.grows(), 3);
+        ws.pool::<f32>().buffers(10, 10);
+        assert_eq!(ws.grows(), 2);
         assert_eq!(ws.held_bytes(), bytes);
         // Equal request: still no growth.
-        ws.pool::<f32>().buffers(100, 100, 100);
-        assert_eq!(ws.grows(), 3);
+        ws.pool::<f32>().buffers(100, 100);
+        assert_eq!(ws.grows(), 2);
         // Larger request grows again.
-        ws.pool::<f32>().buffers(200, 100, 100);
-        assert_eq!(ws.grows(), 4);
+        ws.pool::<f32>().buffers(200, 100);
+        assert_eq!(ws.grows(), 3);
     }
 
     #[test]
     fn precisions_have_independent_pools() {
         let mut ws = Workspace::new();
-        ws.pool::<f64>().buffers(50, 50, 50);
+        ws.pool::<f64>().buffers(50, 50);
         let before = ws.held_bytes();
-        ws.pool::<f32>().buffers(50, 50, 50);
+        ws.pool::<f32>().buffers(50, 50);
         assert!(ws.held_bytes() > before);
-        assert_eq!(ws.grows(), 6);
+        assert_eq!(ws.grows(), 4);
     }
 
     #[test]
     fn batch_workspace_grows_workers_monotonically() {
         let mut bws = BatchWorkspace::new();
         let (shared, workers) = bws.parts(3);
-        shared.pool::<f32>().buffers(8, 8, 0);
+        shared.pool::<f32>().buffers(8, 8);
         assert_eq!(workers.len(), 3);
         for w in workers.iter_mut() {
-            w.pool::<f32>().buffers(4, 4, 4);
+            w.pool::<f32>().buffers(4, 4);
         }
         let grows = bws.grows();
-        assert_eq!(grows, 2 + 3 * 3);
+        assert_eq!(grows, 2 + 3 * 2);
         assert!(bws.held_bytes() > 0);
         // Fewer workers: the set does not shrink, and re-requesting the
         // same buffer sizes causes no growth.
         let (_, workers) = bws.parts(2);
         assert_eq!(workers.len(), 2);
         for w in workers.iter_mut() {
-            w.pool::<f32>().buffers(4, 4, 4);
+            w.pool::<f32>().buffers(4, 4);
         }
         assert_eq!(bws.grows(), grows);
         // More workers than ever before: the new ones start empty.
@@ -231,10 +220,10 @@ mod tests {
         // contract so a future "helpful" clear would be caught.
         let mut ws = Workspace::new();
         {
-            let (pa, _, _) = ws.pool::<f64>().buffers(4, 4, 4);
+            let (pa, _) = ws.pool::<f64>().buffers(4, 4);
             pa.fill(7.0);
         }
-        let (pa, _, _) = ws.pool::<f64>().buffers(4, 4, 4);
+        let (pa, _) = ws.pool::<f64>().buffers(4, 4);
         assert_eq!(pa, [7.0; 4]);
     }
 }

@@ -349,7 +349,11 @@ impl RaceTable {
 /// granularity. Shared across the parallel group engine's threads, so
 /// the slots are relaxed atomics; the detector is order-insensitive —
 /// any overlapping write/anything pair from two distinct groups is
-/// reported no matter which thread gets there first.
+/// reported no matter which thread gets there first. Each cell keeps
+/// its writer, its first reader and a second reader distinct from the
+/// first, so a cell read by two groups stays marked as shared: a later
+/// write by either of them still finds the other, and `other` names a
+/// reader distinct from the writer.
 ///
 /// The reference interpreter covers every buffer. The compiled engine
 /// covers only the buffers some store in the kernel targets: a buffer
@@ -362,9 +366,18 @@ pub struct GlobalRaceTables {
 struct GlobalTable {
     writer: Vec<std::sync::atomic::AtomicU32>,
     reader: Vec<std::sync::atomic::AtomicU32>,
+    /// The first reader distinct from `reader`'s, allocated when a cell
+    /// is first read by a second group (GEMM kernels never do).
+    second_reader: std::sync::OnceLock<Vec<std::sync::atomic::AtomicU32>>,
 }
 
 const NO_GROUP: u32 = u32::MAX;
+
+fn no_groups(len: usize) -> Vec<std::sync::atomic::AtomicU32> {
+    (0..len)
+        .map(|_| std::sync::atomic::AtomicU32::new(NO_GROUP))
+        .collect()
+}
 
 impl GlobalRaceTables {
     /// Fresh tables sized to the launch's buffers.
@@ -376,7 +389,6 @@ impl GlobalRaceTables {
     /// Tables sized to the buffers `keep` selects; the others get empty
     /// tables, which any recorded access to them would index out of.
     pub(crate) fn covering(bufs: &[BufData], keep: impl Fn(usize) -> bool) -> GlobalRaceTables {
-        use std::sync::atomic::AtomicU32;
         GlobalRaceTables {
             tables: bufs
                 .iter()
@@ -384,8 +396,9 @@ impl GlobalRaceTables {
                 .map(|(i, b)| {
                     let len = if keep(i) { b.len() } else { 0 };
                     GlobalTable {
-                        writer: (0..len).map(|_| AtomicU32::new(NO_GROUP)).collect(),
-                        reader: (0..len).map(|_| AtomicU32::new(NO_GROUP)).collect(),
+                        writer: no_groups(len),
+                        reader: no_groups(len),
+                        second_reader: std::sync::OnceLock::new(),
                     }
                 })
                 .collect(),
@@ -408,7 +421,15 @@ impl GlobalRaceTables {
             if w != NO_GROUP && w != g {
                 return Err((k, w));
             }
-            t.reader[k].store(g, Relaxed);
+            match t.reader[k].compare_exchange(NO_GROUP, g, Relaxed, Relaxed) {
+                Ok(_) => {}
+                Err(r) if r == g => {}
+                // Read by a second group: the cell is shared from here on.
+                Err(_) => {
+                    let second = t.second_reader.get_or_init(|| no_groups(t.reader.len()));
+                    let _ = second[k].compare_exchange(NO_GROUP, g, Relaxed, Relaxed);
+                }
+            }
         }
         Ok(())
     }
@@ -434,9 +455,12 @@ impl GlobalRaceTables {
                 Err(w) if w == g => {}
                 Err(w) => return Err((k, w)),
             }
-            let r = t.reader[k].load(Relaxed);
-            if r != NO_GROUP && r != g {
-                return Err((k, r));
+            let second = t.second_reader.get().map(|s| &s[k]);
+            for r in std::iter::once(&t.reader[k]).chain(second) {
+                let r = r.load(Relaxed);
+                if r != NO_GROUP && r != g {
+                    return Err((k, r));
+                }
             }
         }
         Ok(())

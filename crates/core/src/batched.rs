@@ -15,16 +15,16 @@
 //!   worker reusing its own grow-only [`BatchWorkspace`] slot — zero
 //!   steady-state allocations, gated by [`BatchWorkspace::grows`].
 //! * Small shapes (every dimension at or below [`DIRECT_BATCH_MAX`])
-//!   skip packing and staging entirely: a SIMD register-tiled direct
-//!   kernel reads `A`/`B` in place. The packed pipeline pays four
-//!   `O(N²)` copy passes per entry and runs the paper-shaped tiled
-//!   kernel; the direct kernel does neither, which is where the
-//!   batched ≥ 2× looped speedup at 64 × 128³ comes from.
+//!   skip packing entirely: a SIMD register-tiled direct kernel reads
+//!   `A`/`B` in place. Larger entries each run the single call's
+//!   pipeline: panel packs and the host microkernel, which updates the
+//!   entry's `C` in place.
 //! * Storage may be `f16`/`bf16` ([`StorageScalar`]): operands widen to
 //!   the accumulation type on pack (or per load on the direct path), the
 //!   kernel runs its usual `f32` FMA chain, and results narrow once with
-//!   round-to-nearest-even on merge. Widening is exact, so every stored
-//!   type is bit-identical to computing on pre-widened matrices.
+//!   round-to-nearest-even when the tile is merged into `C`. Widening is
+//!   exact, so every stored type is bit-identical to computing on
+//!   pre-widened matrices.
 //!
 //! Numerics are the routine's own: every `C` element sees one
 //! ascending-`p` FMA chain and one `α·acc + β·old` merge, so the batched
@@ -35,7 +35,7 @@
 use crate::profile::launch_profile;
 use crate::routine::{run_packed, scale_c, PackDecision, TunedGemm};
 use crate::tile::TileDecision;
-use clgemm_blas::pack::{pack, View, ViewMut};
+use clgemm_blas::pack::{pack_panels, View, ViewMut};
 use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 use clgemm_blas::workspace::{BatchWorkspace, WorkspaceScalar};
 use clgemm_blas::{BatchError, GemmBatch, Trans};
@@ -44,27 +44,26 @@ use clgemm_shim::par::{par_items_mut, worker_count};
 use clgemm_trace::Registry;
 
 /// Batches whose `m`, `n` and `k` are all at or below this run the
-/// copy-free direct kernel instead of the pack/stage/merge pipeline.
+/// copy-free direct kernel instead of packing into microkernel panels.
 ///
-/// Benched in `BENCH_batched.json` (`crossover` table): on the bench
-/// host the direct kernel wins at every swept edge (16³–512³), because
-/// the packed pipeline pays four `O(N²)` copy passes per entry and runs
-/// the paper-shaped tiled kernel, while the direct kernel is a SIMD
-/// register tile reading operands in place. The threshold is still kept
-/// finite — and conservative — because the direct path's advantage
-/// rests on in-place operands staying cache-resident: 256³ is the last
-/// swept edge where one entry's three f32 slabs (~768 KiB) fit a
-/// typical last-level-cache slice. Past it we hand over to the packed
-/// pipeline, whose blocked traffic is layout-independent and which
-/// amortises shared-operand packs across the whole batch.
-pub const DIRECT_BATCH_MAX: usize = 256;
+/// Benched in `BENCH_batched.json` (`crossover` table, 16 entries per
+/// batch): the direct kernel wins up to 48³ (28 against 33 µs at 32³),
+/// and the packed pipeline — panel packs plus the register-blocked
+/// microkernel — from 64³ on, by a margin that grows with the edge
+/// (1.1× at 64³, 1.7× at 128³, 2.4× at 512³): the direct kernel's 16×8
+/// tile reads its operands in place through strided loads, while the
+/// microkernel streams contiguous panels. The threshold stays at 64³
+/// rather than following the crossover down to 48³, so every batched
+/// call the serving workloads make (edges 33–64) keeps the direct path
+/// and the modelled cost the serving layer's clocks were set with.
+pub const DIRECT_BATCH_MAX: usize = 64;
 
 /// Which host data path executed a batched call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPath {
     /// Register-tiled in-place kernel; no packing, staging or padding.
     Direct,
-    /// Per-entry pack/stage/kernel/merge, shared operands packed once.
+    /// Per-entry panel packs and microkernel, shared operands packed once.
     Packed,
 }
 
@@ -190,7 +189,10 @@ impl TunedGemm {
         if batch == 0 || m == 0 || n == 0 {
             return Ok(run);
         }
-        if k == 0 || alpha == S::Acc::ZERO {
+        // α = 0 zeroes the product term only over finite operands (see
+        // `TunedGemm::gemm_with`).
+        let finite = |slab: &[S]| slab.iter().all(|x| x.widen().is_finite());
+        if k == 0 || (alpha == S::Acc::ZERO && finite(a) && finite(b)) {
             for centry in split_c_entries(c, desc) {
                 scale_c(alpha, beta, ViewMut::new(centry, m, n, 1, desc.ldc));
             }
@@ -229,16 +231,17 @@ impl TunedGemm {
                 // pool; per-entry operands pack inside the fan-out, into
                 // worker pools.
                 let (shared, worker_ws) = ws.parts(run.workers);
-                let (sa, sb, _) = shared.pool::<S::Acc>().buffers(
-                    if desc.shared_a() { plan.da.len() } else { 0 },
-                    if desc.shared_b() { plan.db.len() } else { 0 },
-                    0,
+                let col_major = View::new(&entries[0][..], m, n, 1, desc.ldc).is_col_major();
+                let ((wa, wb), (len_a, len_b)) = plan.panels(col_major);
+                let (sa, sb) = shared.pool::<S::Acc>().buffers(
+                    if desc.shared_a() { len_a } else { 0 },
+                    if desc.shared_b() { len_b } else { 0 },
                 );
                 if desc.shared_a() {
-                    pack(a_view(0), plan.spec_a, sa, plan.da, true);
+                    pack_panels(a_view(0), plan.spec_a.trans, wa, sa, true);
                 }
                 if desc.shared_b() {
-                    pack(b_view(0), plan.spec_b, sb, plan.db, true);
+                    pack_panels(b_view(0), plan.spec_b.trans, wb, sb, true);
                 }
                 let (sa, sb): (&[S::Acc], &[S::Acc]) = (sa, sb);
                 let (sa, sb) = (desc.shared_a().then_some(sa), desc.shared_b().then_some(sb));
@@ -632,10 +635,11 @@ mod tests {
     fn size_routes_the_path_and_descriptor_is_validated() {
         let tg = tuned();
         let mut ws = BatchWorkspace::new();
-        // 128³ sits on the direct side; one past the threshold in any
+        // The threshold edge sits on the direct side; one past it in any
         // dimension flips it.
-        let small = GemmBatch::packed(GemmType::NN, 1, 128, 128, 128);
-        let n = 128 * 128;
+        let e = DIRECT_BATCH_MAX;
+        let small = GemmBatch::packed(GemmType::NN, 1, e, e, e);
+        let n = e * e;
         let mut a = vec![0f32; n];
         let mut b = vec![0f32; n];
         let mut c = vec![0f32; n];
@@ -664,7 +668,7 @@ mod tests {
         assert_eq!(run.pack.unwrap().threshold, SERIAL_PACK_MAX);
 
         // Short slabs are rejected, not UB.
-        let bad = GemmBatch::packed(GemmType::NN, 2, 128, 128, 128);
+        let bad = GemmBatch::packed(GemmType::NN, 2, e, e, e);
         assert!(tg
             .gemm_batch(&bad, 1.0f32, &a, &b, 0.0, &mut c, &mut ws)
             .is_err());

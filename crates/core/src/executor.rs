@@ -3,13 +3,21 @@
 //! All three generated algorithms accumulate each `C` element over `p` in
 //! strictly ascending order with fused multiply-adds, then merge with
 //! `mad(alpha, acc, beta*C)`. This module reproduces exactly that
-//! arithmetic natively (thread-parallel over rows), giving a fast oracle
-//! that must agree **bit-for-bit** with the `clgemm-clc` VM executing the
-//! generated OpenCL C — a very strong end-to-end check on the code
-//! generator, the compiler and the VM at once.
+//! arithmetic natively, twice:
+//!
+//! * [`run_native`] reads the operands in the tuned CBL/RBL layouts
+//!   through per-element offsets. It is the oracle that must agree
+//!   **bit-for-bit** with the `clgemm-clc` VM executing the generated
+//!   OpenCL C — a very strong end-to-end check on the code generator, the
+//!   compiler and the VM at once — and the reference engine's kernel.
+//! * [`run_microkernel`] is the fast host path: a register-blocked
+//!   microkernel over panel-packed operands that updates the caller's `C`
+//!   in place, bit-identical to the oracle.
 
+use crate::tile::{microkernel_tile, Tile};
 use clgemm_blas::layout::{BlockLayout, PackedDims};
-use clgemm_blas::scalar::Scalar;
+use clgemm_blas::pack::ViewMut;
+use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 
 /// Compute `C ← α·Aᵀ·B + β·C` on packed operands with generated-kernel
 /// numerics.
@@ -58,312 +66,137 @@ pub fn run_native<T: Scalar>(
     });
 }
 
-/// Largest register-tile edge the fast path instantiates.
-pub const TILE_MAX: usize = 16;
-
-/// A validated register-tile shape for [`run_native_fast`].
-///
-/// Construction is the *only* gate: both edges must lie in
-/// `1..=TILE_MAX`, so an out-of-range tuned blocking can never reach the
-/// microkernel — it has to go through `clgemm::tile::TileSelector`,
-/// which substitutes a lane-aligned shape and *reports* the substitution
-/// instead of the silent clamp this type replaced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tile {
-    mr: usize,
-    nr: usize,
-}
-
-impl Tile {
-    /// A validated `mr × nr` tile; `None` when an edge is outside
-    /// `1..=TILE_MAX`.
-    #[must_use]
-    pub const fn new(mr: usize, nr: usize) -> Option<Tile> {
-        if mr >= 1 && mr <= TILE_MAX && nr >= 1 && nr <= TILE_MAX {
-            Some(Tile { mr, nr })
-        } else {
-            None
-        }
-    }
-
-    /// Rows of `C` per register tile.
-    #[must_use]
-    pub const fn mr(self) -> usize {
-        self.mr
-    }
-
-    /// Columns of `C` per register tile (the vectorised direction).
-    #[must_use]
-    pub const fn nr(self) -> usize {
-        self.nr
-    }
-
-    /// Both edges as a pair.
-    #[must_use]
-    pub const fn dims(self) -> (usize, usize) {
-        (self.mr, self.nr)
+/// The panel widths `(op(A), op(B))` [`run_microkernel`] reads at
+/// `precision` for a `C` whose columns (`col_major`) or rows are
+/// contiguous. Tiles run along `C`'s contiguous lines, so a column-major
+/// `C` is computed as the row-major `Cᵀ = op(B)ᵀ·op(A)ᵀ`, with the two
+/// operands' panel widths swapped.
+#[must_use]
+pub const fn panel_widths(precision: Precision, col_major: bool) -> (usize, usize) {
+    let t = microkernel_tile(precision);
+    if col_major {
+        (t.nr(), t.mr())
+    } else {
+        (t.mr(), t.nr())
     }
 }
 
-impl std::fmt::Display for Tile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}x{}", self.mr, self.nr)
-    }
-}
-
-/// Fast panel-microkernel execution of the same arithmetic as
-/// [`run_native`] — **bit-for-bit identical** output.
-///
-/// Where the reference recomputes a block-layout offset (div/mod pair)
-/// for every element at every depth step, this walks CBL/RBL panels
-/// contiguously: per `(layout_a, layout_b)` pair the depth stride and
-/// the length of the affine run are resolved once (`BlockLayout::
-/// depth_stride` / `depth_run`), base offsets are hoisted per register
-/// tile, and the inner loop over `p` is pure loads + FMA into an
-/// `mr × nr` accumulator tile. Bit-for-bit equality holds because each
-/// `C` element still sees the exact reference operation order: ascending
-/// `p`, `acc = fma(a, b, acc)`, then `mad(alpha, acc, beta·old)` — the
-/// tiling only interleaves *independent* accumulators; the tile shape
-/// can therefore be chosen freely (per the host SIMD width) without any
-/// numerical consequence.
-///
-/// `tile` is a pre-validated register-tile shape, normally produced by
-/// `clgemm::tile::TileSelector::select` from the tuned blocking and the
-/// host vector width. Row tiles are distributed over threads.
+/// `C ← α·op(A)·op(B) + β·C` from panel-packed operands, written
+/// straight into the caller's `C` with the build's register tile for the
+/// accumulation precision ([`crate::tile::microkernel_tile`]). `a` and
+/// `b` hold `op(A)` and `op(B)` packed by `clgemm_blas::pack::
+/// pack_panels` at the [`panel_widths`] for `C`'s storage order; see
+/// [`run_panels`] for `pad_depth`.
 ///
 /// # Panics
-/// Panics if buffer sizes disagree with the dims (same contract as
-/// [`run_native`]).
-#[allow(clippy::too_many_arguments)] // deliberately BLAS-flat signature
-pub fn run_native_fast<T: Scalar>(
-    m: usize,
-    n: usize,
+/// Panics if a packed operand does not match `C`'s shape and `k`.
+pub fn run_microkernel<S: StorageScalar>(
     k: usize,
-    alpha: T,
-    a: &[T],
-    a_dims: PackedDims,
-    layout_a: BlockLayout,
-    b: &[T],
-    b_dims: PackedDims,
-    layout_b: BlockLayout,
-    beta: T,
-    c: &mut [T],
-    tile: Tile,
+    alpha: S::Acc,
+    a: &[S::Acc],
+    b: &[S::Acc],
+    beta: S::Acc,
+    c: ViewMut<'_, S>,
+    pad_depth: bool,
 ) {
-    assert_eq!(a.len(), a_dims.len(), "packed A size mismatch");
-    assert_eq!(b.len(), b_dims.len(), "packed B size mismatch");
-    assert_eq!(c.len(), m * n, "C size mismatch");
-    assert!(a_dims.k >= k && b_dims.k >= k, "operand depth too small");
-    assert!(
-        a_dims.width >= m && b_dims.width >= n,
-        "operand width too small"
-    );
-    let pan = Panels {
-        a,
-        a_dims,
-        layout_a,
-        b,
-        b_dims,
-        layout_b,
-        k,
+    const F32: Tile = microkernel_tile(Precision::F32);
+    const F64: Tile = microkernel_tile(Precision::F64);
+    let (rows, cols, c) = if c.is_col_major() {
+        (b, a, c.transposed())
+    } else {
+        (a, b, c)
     };
-    // The per-shape dispatch: every tile the selector's candidate tables
-    // can produce is monomorphised here (the bench tile sweep measures
-    // exactly this list); anything else takes the dynamic tile, which
-    // still hoists all offset arithmetic.
-    match tile.dims() {
-        (2, 2) => run_tiles::<T, 2, 2>(n, alpha, beta, c, &pan),
-        (4, 2) => run_tiles::<T, 4, 2>(n, alpha, beta, c, &pan),
-        (2, 4) => run_tiles::<T, 2, 4>(n, alpha, beta, c, &pan),
-        (4, 4) => run_tiles::<T, 4, 4>(n, alpha, beta, c, &pan),
-        (6, 2) => run_tiles::<T, 6, 2>(n, alpha, beta, c, &pan),
-        (2, 6) => run_tiles::<T, 2, 6>(n, alpha, beta, c, &pan),
-        (8, 2) => run_tiles::<T, 8, 2>(n, alpha, beta, c, &pan),
-        (2, 8) => run_tiles::<T, 2, 8>(n, alpha, beta, c, &pan),
-        (8, 4) => run_tiles::<T, 8, 4>(n, alpha, beta, c, &pan),
-        (4, 8) => run_tiles::<T, 4, 8>(n, alpha, beta, c, &pan),
-        (8, 6) => run_tiles::<T, 8, 6>(n, alpha, beta, c, &pan),
-        (8, 8) => run_tiles::<T, 8, 8>(n, alpha, beta, c, &pan),
-        (12, 4) => run_tiles::<T, 12, 4>(n, alpha, beta, c, &pan),
-        (8, 12) => run_tiles::<T, 8, 12>(n, alpha, beta, c, &pan),
-        (16, 2) => run_tiles::<T, 16, 2>(n, alpha, beta, c, &pan),
-        (2, 16) => run_tiles::<T, 2, 16>(n, alpha, beta, c, &pan),
-        (16, 4) => run_tiles::<T, 16, 4>(n, alpha, beta, c, &pan),
-        (4, 16) => run_tiles::<T, 4, 16>(n, alpha, beta, c, &pan),
-        (16, 8) => run_tiles::<T, 16, 8>(n, alpha, beta, c, &pan),
-        (8, 16) => run_tiles::<T, 8, 16>(n, alpha, beta, c, &pan),
-        (16, 16) => run_tiles::<T, 16, 16>(n, alpha, beta, c, &pan),
-        (mr, nr) => run_tiles_dyn(n, mr, nr, alpha, beta, c, &pan),
+    match <S::Acc as Scalar>::PRECISION {
+        Precision::F32 => {
+            run_panels::<S, { F32.mr() }, { F32.nr() }>(k, alpha, rows, cols, beta, c, pad_depth);
+        }
+        Precision::F64 => {
+            run_panels::<S, { F64.mr() }, { F64.nr() }>(k, alpha, rows, cols, beta, c, pad_depth);
+        }
     }
 }
 
-/// The two packed operands plus everything needed to slice their panels.
-struct Panels<'a, T> {
-    a: &'a [T],
-    a_dims: PackedDims,
-    layout_a: BlockLayout,
-    b: &'a [T],
-    b_dims: PackedDims,
-    layout_b: BlockLayout,
+/// The panel microkernel with an explicit `MR × NR` register tile on a
+/// row-major `C` — the same arithmetic as [`run_native`], **bit for
+/// bit**.
+///
+/// * `rows`: the `m × k` left factor of `C`, packed by
+///   `clgemm_blas::pack::pack_panels` into `MR`-wide depth-major panels,
+///   `k · round_up(m, MR)` long.
+/// * `cols`: the `k × n` right factor, packed the same way into `NR`-wide
+///   panels.
+/// * `c`: the `m × n` row-major `C`; each element becomes
+///   `narrow(α·acc + β·widen(old))`. For a column-major `C` pass its
+///   transpose, `op(B)ᵀ` as `rows` and `op(A)ᵀ` as `cols`: the products
+///   are the same exact values, so the results are too.
+/// * `pad_depth`: the reference engine runs the kernel over the depth
+///   padded to the tuned `Kwg` multiple, whose zero steps turn a `-0`
+///   accumulator into `+0`; `true` replays that with one extra
+///   `fma(0, 0, acc)`, which is idempotent.
+///
+/// Each tile keeps its `MR × NR` accumulators in registers over the full
+/// depth on the ascending-`p` FMA chain and is merged into `C` once, so
+/// every element sees the reference's exact operation order; tiling only
+/// interleaves independent accumulators. Strips of `MR` rows go to
+/// `shim::par` threads.
+///
+/// # Panics
+/// Panics if `C`'s rows are not contiguous or a packed operand does not
+/// match `C`'s shape and `k`.
+pub fn run_panels<S: StorageScalar, const MR: usize, const NR: usize>(
     k: usize,
-}
-
-impl<T: Scalar> Panels<'_, T> {
-    /// Accumulate `C[i0..i0+mh) × [j0..j0+nh)` over the full depth into
-    /// `acc` (flattened `mh × nh`, row-major, stride `nh`). All offset
-    /// arithmetic happens here, per affine depth run; the caller's inner
-    /// loop sees only `base + p·stride`.
-    #[inline]
-    fn accumulate(
-        &self,
-        i0: usize,
-        mh: usize,
-        j0: usize,
-        nh: usize,
-        acc: &mut [T],
-        mut fma_run: impl FnMut(&mut [T], &[usize], &[usize], usize, usize, usize, usize, usize),
-    ) {
-        let sa = self.layout_a.depth_stride(self.a_dims);
-        let sb = self.layout_b.depth_stride(self.b_dims);
-        let mut abase = [0usize; TILE_MAX];
-        let mut bbase = [0usize; TILE_MAX];
-        let mut p0 = 0usize;
-        while p0 < self.k {
-            let len = (self.k - p0)
-                .min(self.layout_a.run_remaining(p0, self.a_dims))
-                .min(self.layout_b.run_remaining(p0, self.b_dims));
-            for (ii, slot) in abase[..mh].iter_mut().enumerate() {
-                *slot = self.layout_a.offset(p0, i0 + ii, self.a_dims);
-            }
-            for (jj, slot) in bbase[..nh].iter_mut().enumerate() {
-                *slot = self.layout_b.offset(p0, j0 + jj, self.b_dims);
-            }
-            fma_run(acc, &abase, &bbase, sa, sb, len, mh, nh);
-            p0 += len;
-        }
-    }
-}
-
-/// Drive fixed `MR × NR` register tiles over `C`, row tiles in parallel.
-fn run_tiles<T: Scalar, const MR: usize, const NR: usize>(
-    n: usize,
-    alpha: T,
-    beta: T,
-    c: &mut [T],
-    pan: &Panels<'_, T>,
+    alpha: S::Acc,
+    rows: &[S::Acc],
+    cols: &[S::Acc],
+    beta: S::Acc,
+    c: ViewMut<'_, S>,
+    pad_depth: bool,
 ) {
-    clgemm_shim::par::par_chunks_mut(c, MR * n, |t, rows| {
-        let i0 = t * MR;
-        let mh = rows.len() / n.max(1);
-        let mut j0 = 0usize;
-        while j0 < n {
-            let nh = NR.min(n - j0);
-            let mut acc = [T::ZERO; TILE_MAX * TILE_MAX];
-            if mh == MR && nh == NR {
-                pan.accumulate(
-                    i0,
-                    MR,
-                    j0,
-                    NR,
-                    &mut acc,
-                    |acc, ab, bb, sa, sb, len, _, _| {
-                        for p in 0..len {
-                            let (pa, pb) = (p * sa, p * sb);
-                            let mut av = [T::ZERO; MR];
-                            for ii in 0..MR {
-                                av[ii] = pan.a[ab[ii] + pa];
-                            }
-                            let mut bv = [T::ZERO; NR];
-                            for jj in 0..NR {
-                                bv[jj] = pan.b[bb[jj] + pb];
-                            }
-                            for ii in 0..MR {
-                                for jj in 0..NR {
-                                    acc[ii * NR + jj] = av[ii].mul_add(bv[jj], acc[ii * NR + jj]);
-                                }
-                            }
-                        }
-                    },
-                );
-                merge_tile(rows, n, j0, MR, NR, NR, alpha, beta, &acc);
-            } else {
-                pan.accumulate(i0, mh, j0, nh, &mut acc, fma_run_dyn(pan));
-                merge_tile(rows, n, j0, mh, nh, nh, alpha, beta, &acc);
-            }
-            j0 += NR;
+    let (m, n) = (c.rows(), c.cols());
+    assert_eq!(
+        rows.len(),
+        k * m.div_ceil(MR) * MR,
+        "packed rows size mismatch"
+    );
+    assert_eq!(
+        cols.len(),
+        k * n.div_ceil(NR) * NR,
+        "packed columns size mismatch"
+    );
+    c.par_row_strips(MR, |i0, mut strip| {
+        let ap = &rows[i0 * k..][..MR * k];
+        for j in (0..n).step_by(NR) {
+            let acc = tile::<S::Acc, MR, NR>(ap, &cols[j * k..][..NR * k], pad_depth);
+            strip.merge_tile(0, j, &acc, |v, old: S| {
+                S::narrow(alpha.mul_add(v, beta * old.widen()))
+            });
         }
     });
 }
 
-/// Dynamic-shape fallback: same structure, runtime tile bounds.
-#[allow(clippy::too_many_arguments)]
-fn run_tiles_dyn<T: Scalar>(
-    n: usize,
-    mr: usize,
-    nr: usize,
-    alpha: T,
-    beta: T,
-    c: &mut [T],
-    pan: &Panels<'_, T>,
-) {
-    clgemm_shim::par::par_chunks_mut(c, mr * n, |t, rows| {
-        let i0 = t * mr;
-        let mh = rows.len() / n.max(1);
-        let mut j0 = 0usize;
-        while j0 < n {
-            let nh = nr.min(n - j0);
-            let mut acc = [T::ZERO; TILE_MAX * TILE_MAX];
-            pan.accumulate(i0, mh, j0, nh, &mut acc, fma_run_dyn(pan));
-            merge_tile(rows, n, j0, mh, nh, nh, alpha, beta, &acc);
-            j0 += nr;
-        }
-    });
-}
-
-/// The runtime-bounds FMA loop shared by edge tiles and the dynamic path.
-#[allow(clippy::type_complexity)]
-fn fma_run_dyn<'p, T: Scalar>(
-    pan: &'p Panels<'p, T>,
-) -> impl FnMut(&mut [T], &[usize], &[usize], usize, usize, usize, usize, usize) + 'p {
-    move |acc, ab, bb, sa, sb, len, mh, nh| {
-        for p in 0..len {
-            let (pa, pb) = (p * sa, p * sb);
-            let mut av = [T::ZERO; TILE_MAX];
-            for (ii, slot) in av[..mh].iter_mut().enumerate() {
-                *slot = pan.a[ab[ii] + pa];
-            }
-            let mut bv = [T::ZERO; TILE_MAX];
-            for (jj, slot) in bv[..nh].iter_mut().enumerate() {
-                *slot = pan.b[bb[jj] + pb];
-            }
-            for ii in 0..mh {
-                for jj in 0..nh {
-                    acc[ii * nh + jj] = av[ii].mul_add(bv[jj], acc[ii * nh + jj]);
-                }
+/// One `MR × NR` tile of the product over the full depth. Kept out of
+/// line: inlined into its caller, LLVM vectorised some shapes (the
+/// derived f32 6×32 among them) into a schedule about 10× slower.
+#[inline(never)]
+fn tile<T: Scalar, const MR: usize, const NR: usize>(
+    a: &[T],
+    b: &[T],
+    pad_depth: bool,
+) -> [[T; NR]; MR] {
+    let mut acc = [[T::ZERO; NR]; MR];
+    for (ap, bp) in a.as_chunks::<MR>().0.iter().zip(b.as_chunks::<NR>().0) {
+        for (row, av) in acc.iter_mut().zip(ap) {
+            for (cell, bv) in row.iter_mut().zip(bp) {
+                *cell = av.mul_add(*bv, *cell);
             }
         }
     }
-}
-
-/// Apply the generated merge `mad(alpha, acc, beta·old)` for one tile.
-#[allow(clippy::too_many_arguments)]
-fn merge_tile<T: Scalar>(
-    rows: &mut [T],
-    n: usize,
-    j0: usize,
-    mh: usize,
-    nh: usize,
-    acc_stride: usize,
-    alpha: T,
-    beta: T,
-    acc: &[T],
-) {
-    for ii in 0..mh {
-        let row = &mut rows[ii * n + j0..ii * n + j0 + nh];
-        for (jj, cell) in row.iter_mut().enumerate() {
-            *cell = alpha.mul_add(acc[ii * acc_stride + jj], beta * *cell);
+    if pad_depth {
+        for cell in acc.iter_mut().flatten() {
+            *cell = T::ZERO.mul_add(T::ZERO, *cell);
         }
     }
+    acc
 }
 
 #[cfg(test)]
@@ -371,7 +204,7 @@ mod tests {
     use super::*;
     use clgemm_blas::gemm_ref::gemm_naive;
     use clgemm_blas::matrix::{Matrix, StorageOrder};
-    use clgemm_blas::pack::{pack_operand, PackSpec};
+    use clgemm_blas::pack::{merge_c, pack_operand, pack_panels, stage_c, PackSpec};
     use clgemm_blas::{GemmType, Trans};
 
     #[test]
@@ -535,66 +368,117 @@ mod tests {
         );
     }
 
-    /// Fill a packed `dims.k × dims.width` buffer with a deterministic
-    /// non-trivial pattern, zeroing the depth padding beyond `k`.
-    fn packed_pattern(layout: BlockLayout, dims: PackedDims, k: usize, seed: usize) -> Vec<f64> {
-        let mut buf = vec![0.0f64; dims.len()];
-        for p in 0..k {
-            for w in 0..dims.width {
-                let v = ((p * 31 + w * 7 + seed * 13) % 23) as f64 - 11.0;
-                buf[layout.offset(p, w, dims)] = v * 0.37;
-            }
-        }
-        buf
+    /// `C ← α·op(A)·op(B) + β·C` through the reference engine's copies
+    /// and [`run_native`], for column-major `op(A)` (`m × k`) and `op(B)`
+    /// (`k × n`) packed into `la`/`lb` with 8×`kwg` and 4×`kwg` blocks;
+    /// also whether the packed depth is padded past `k`.
+    #[allow(clippy::too_many_arguments)]
+    fn via_reference<T: Scalar>(
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        alpha: T,
+        beta: T,
+        c0: &Matrix<T>,
+        la: BlockLayout,
+        lb: BlockLayout,
+        kwg: usize,
+    ) -> (Matrix<T>, bool) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let spec = |trans, layout, wwg| PackSpec {
+            trans,
+            layout,
+            wwg,
+            kwg,
+        };
+        let (pa, da) = pack_operand(a, spec(Trans::Yes, la, 8), k, m);
+        let (pb, db) = pack_operand(b, spec(Trans::No, lb, 4), k, n);
+        let mut staged = stage_c(c0, 8, 4);
+        run_native(
+            da.width,
+            db.width,
+            da.k,
+            alpha,
+            &pa,
+            da,
+            la,
+            &pb,
+            db,
+            lb,
+            beta,
+            &mut staged,
+        );
+        let mut c = c0.clone();
+        merge_c(&staged, 8, 4, &mut c);
+        (c, da.k > k)
+    }
+
+    /// The same product through the panel packer and an `MR × NR` tile;
+    /// a column-major `C` runs as its row-major transpose.
+    fn via_panels<T: Scalar, const MR: usize, const NR: usize>(
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        alpha: T,
+        beta: T,
+        c0: &Matrix<T>,
+        pad_depth: bool,
+    ) -> Matrix<T> {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut c = c0.clone();
+        let view = c.view_mut();
+        let col_major = view.is_col_major();
+        let ((xa, ra), (xb, rb)) = if col_major {
+            ((b, n), (a, m))
+        } else {
+            ((a, m), (b, n))
+        };
+        // The left factor is op(A) (or op(B)ᵀ), depth first either way.
+        let ta = if col_major { Trans::No } else { Trans::Yes };
+        let tb = if col_major { Trans::Yes } else { Trans::No };
+        let mut pa = vec![T::ZERO; k * ra.div_ceil(MR) * MR];
+        let mut pb = vec![T::ZERO; k * rb.div_ceil(NR) * NR];
+        pack_panels(xa.view(), ta, MR, &mut pa, true);
+        pack_panels(xb.view(), tb, NR, &mut pb, false);
+        let view = if col_major { view.transposed() } else { view };
+        run_panels::<T, MR, NR>(k, alpha, &pa, &pb, beta, view, pad_depth);
+        c
+    }
+
+    fn bits<T: Scalar>(c: &Matrix<T>) -> Vec<u64> {
+        c.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
     }
 
     #[test]
     fn fast_is_bit_identical_to_reference_across_layouts_and_tiles() {
-        // The whole point of the fast engine: same FMA chain per element,
-        // so exact equality — not tolerance — across every layout pair
-        // and register-tile shape, including the dynamic-dispatch sizes
-        // and ones that do not divide the problem evenly.
+        // Same FMA chain per element, so exact equality — not tolerance —
+        // against every layout pair the reference reads, for tiles that
+        // do and do not divide the problem, with and without a padded
+        // depth, and for both storage orders of C.
         let (m, n, k) = (24, 16, 12);
-        let da = PackedDims::new(16, 24, 8, 4).unwrap();
-        let db = PackedDims::new(16, 16, 8, 4).unwrap();
-        for la in BlockLayout::ALL {
-            for lb in BlockLayout::ALL {
-                let pa = packed_pattern(la, da, k, 1);
-                let pb = packed_pattern(lb, db, k, 2);
-                let c0: Vec<f64> = (0..m * n).map(|i| (i % 17) as f64 - 8.0).collect();
-                let mut c_ref = c0.clone();
-                run_native(m, n, k, 1.25, &pa, da, la, &pb, db, lb, -0.75, &mut c_ref);
-                // (5,3) and (7,5) fall through to the dynamic kernel and
-                // leave ragged edge tiles; the rest hit the monomorphised
-                // fast paths, including the full 16-wide SIMD shapes.
-                for (mr, nr) in [
-                    (1, 1),
-                    (4, 4),
-                    (6, 2),
-                    (8, 8),
-                    (5, 3),
-                    (7, 5),
-                    (8, 16),
-                    (16, 16),
-                ] {
-                    let tile = Tile::new(mr, nr).unwrap();
-                    let mut c_fast = c0.clone();
-                    run_native_fast(
-                        m,
-                        n,
-                        k,
-                        1.25,
-                        &pa,
-                        da,
-                        la,
-                        &pb,
-                        db,
-                        lb,
-                        -0.75,
-                        &mut c_fast,
-                        tile,
-                    );
-                    assert_eq!(c_fast, c_ref, "{la}/{lb} tile {tile}");
+        for order in [StorageOrder::ColMajor, StorageOrder::RowMajor] {
+            let a = Matrix::<f64>::from_fn(m, k, StorageOrder::ColMajor, |i, p| {
+                ((i * 7 + p * 31 + 13) % 23) as f64 * 0.37 - 4.0
+            });
+            let b = Matrix::<f64>::from_fn(k, n, StorageOrder::ColMajor, |p, j| {
+                ((p * 11 + j * 29 + 5) % 19) as f64 * 0.41 - 3.5
+            });
+            let c0 = Matrix::<f64>::from_fn(m, n, order, |i, j| ((i * n + j) % 17) as f64 - 8.0);
+            for la in BlockLayout::ALL {
+                for lb in BlockLayout::ALL {
+                    for kwg in [4, 8] {
+                        let (want, pad) = via_reference(&a, &b, 1.25, -0.75, &c0, la, lb, kwg);
+                        let case = format!("{la}/{lb} kwg {kwg} {order:?}");
+                        let got = [
+                            via_panels::<f64, 1, 1>(&a, &b, 1.25, -0.75, &c0, pad),
+                            via_panels::<f64, 4, 4>(&a, &b, 1.25, -0.75, &c0, pad),
+                            via_panels::<f64, 5, 3>(&a, &b, 1.25, -0.75, &c0, pad),
+                            via_panels::<f64, 6, 16>(&a, &b, 1.25, -0.75, &c0, pad),
+                            via_panels::<f64, 7, 5>(&a, &b, 1.25, -0.75, &c0, pad),
+                            via_panels::<f64, 16, 16>(&a, &b, 1.25, -0.75, &c0, pad),
+                        ];
+                        for (t, c) in got.iter().enumerate() {
+                            assert_eq!(bits(c), bits(&want), "{case} tile #{t}");
+                        }
+                    }
                 }
             }
         }
@@ -602,69 +486,83 @@ mod tests {
 
     #[test]
     fn fast_handles_depth_padding_and_f32() {
-        // k strictly below the padded depth, f32, tile larger than the
-        // whole problem in one direction.
+        // f32, a tile larger than the problem in one direction, and
+        // products that underflow to -0: the accumulators end at -0, and
+        // only a padded depth turns them into +0, which β·(-0) then
+        // exposes in the sign of C.
         let (m, n, k) = (8, 12, 5);
-        let da = PackedDims::new(8, 8, 4, 4).unwrap();
-        let db = PackedDims::new(8, 12, 4, 4).unwrap();
-        let mut pa = vec![0.0f32; da.len()];
-        let mut pb = vec![0.0f32; db.len()];
-        for p in 0..k {
-            for w in 0..da.width {
-                pa[BlockLayout::Rbl.offset(p, w, da)] = (p * w) as f32 * 0.5 - 1.0;
+        let a = Matrix::<f32>::from_fn(m, k, StorageOrder::ColMajor, |i, p| {
+            if (i + p) % 3 == 0 {
+                1e-30
+            } else {
+                (p * i) as f32 * 0.5 - 1.0
             }
-            for w in 0..db.width {
-                pb[BlockLayout::Cbl.offset(p, w, db)] = (p + 2 * w) as f32 * 0.25;
+        });
+        let b = Matrix::<f32>::from_fn(k, n, StorageOrder::ColMajor, |p, j| {
+            if j % 2 == 0 {
+                -1e-30
+            } else {
+                (p + 2 * j) as f32 * 0.25
+            }
+        });
+        let tiny = Matrix::<f32>::from_fn(m, k, StorageOrder::ColMajor, |_, _| 1e-30);
+        let c0 = Matrix::<f32>::from_fn(m, n, StorageOrder::ColMajor, |i, j| {
+            if (i + j) % 2 == 0 {
+                -0.0
+            } else {
+                i as f32 * 0.1
+            }
+        });
+        for a in [&a, &tiny] {
+            for kwg in [4, 5] {
+                let (want, pad) = via_reference(
+                    a,
+                    &b,
+                    2.0,
+                    0.5,
+                    &c0,
+                    BlockLayout::Rbl,
+                    BlockLayout::Cbl,
+                    kwg,
+                );
+                assert_eq!(pad, kwg == 4);
+                let got = via_panels::<f32, 16, 3>(a, &b, 2.0, 0.5, &c0, pad);
+                assert_eq!(bits(&got), bits(&want), "kwg {kwg}");
+                let got = via_panels::<f32, 6, 32>(a, &b, 2.0, 0.5, &c0, pad);
+                assert_eq!(bits(&got), bits(&want), "kwg {kwg}");
             }
         }
-        let c0: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.1).collect();
-        let mut c_ref = c0.clone();
-        run_native(
-            m,
-            n,
-            k,
+        // The padding step matters: without it the -0 survives.
+        let (want, pad) = via_reference(
+            &tiny,
+            &b,
             2.0,
-            &pa,
-            da,
-            BlockLayout::Rbl,
-            &pb,
-            db,
-            BlockLayout::Cbl,
             0.5,
-            &mut c_ref,
-        );
-        let mut c_fast = c0.clone();
-        run_native_fast(
-            m,
-            n,
-            k,
-            2.0,
-            &pa,
-            da,
-            BlockLayout::Rbl,
-            &pb,
-            db,
+            &c0,
             BlockLayout::Cbl,
-            0.5,
-            &mut c_fast,
-            Tile::new(16, 3).unwrap(),
+            BlockLayout::Cbl,
+            4,
         );
-        assert_eq!(c_fast, c_ref);
+        assert!(pad);
+        let unpadded = via_panels::<f32, 6, 32>(&tiny, &b, 2.0, 0.5, &c0, false);
+        assert_ne!(bits(&unpadded), bits(&want));
     }
 
     #[test]
     fn tile_construction_enforces_the_register_budget() {
-        // The silent shrink-to-`TILE_MAX` is gone: shapes outside the
-        // register budget are unrepresentable, not quietly clamped.
-        assert!(Tile::new(1, 1).is_some());
-        assert!(Tile::new(TILE_MAX, TILE_MAX).is_some());
-        assert!(Tile::new(32, 8).is_none());
-        assert!(Tile::new(8, 32).is_none());
+        // Zero edges are unrepresentable, and the tile each precision runs
+        // fits the build's register file and fills whole vectors.
         assert!(Tile::new(0, 4).is_none());
         assert!(Tile::new(4, 0).is_none());
-        let t = Tile::new(8, 16).unwrap();
-        assert_eq!((t.mr(), t.nr()), (8, 16));
-        assert_eq!(t.dims(), (8, 16));
-        assert_eq!(t.to_string(), "8x16");
+        let t = Tile::new(6, 32).unwrap();
+        assert_eq!((t.mr(), t.nr(), t.dims()), (6, 32, (6, 32)));
+        assert_eq!(t.to_string(), "6x32");
+        assert_eq!(t.registers(8), 6 * 4 + 4 + 1);
+        for precision in [Precision::F32, Precision::F64] {
+            let t = microkernel_tile(precision);
+            let lanes = crate::tile::lanes(precision);
+            assert!(t.registers(lanes) <= crate::tile::VECTOR_REGISTERS, "{t}");
+            assert_eq!(t.nr() % lanes, 0, "{t}");
+        }
     }
 }

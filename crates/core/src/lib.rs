@@ -80,7 +80,7 @@ pub mod prelude {
     };
     pub use crate::repo::{KernelRepo, RepoError, SCHEMA_VERSION};
     pub use crate::routine::{GemmPath, GemmRun, HybridGemm, PackDecision, TunedGemm};
-    pub use crate::tile::{TileDecision, TileReason, TileSelector};
+    pub use crate::tile::{Tile, TileDecision};
     pub use crate::tuner::{tune, Measurement, SearchOpts, SearchSpace, TuningResult};
     pub use crate::tuning_db::{DbError, DbKey, TuningDb, DB_SCHEMA_VERSION};
     pub use clgemm_blas::layout::BlockLayout;

@@ -20,13 +20,13 @@
 //! * [`TunedGemm::kernel_gflops`] — bare-kernel performance without copy
 //!   overhead (the Fig. 7 quantity).
 
-use crate::executor::{run_native, run_native_fast};
+use crate::executor::{panel_widths, run_microkernel, run_native};
 use crate::params::KernelParams;
 use crate::profile::launch_profile;
-use crate::tile::{TileDecision, TileSelector};
+use crate::tile::TileDecision;
 use clgemm_blas::layout::{round_up, PackedDims};
 use clgemm_blas::matrix::Matrix;
-use clgemm_blas::pack::{merge, merge_c, pack, pack_into, stage, stage_c, PackSpec, View, ViewMut};
+use clgemm_blas::pack::{merge_c, pack_into, pack_panels, stage_c, PackSpec, View, ViewMut};
 use clgemm_blas::scalar::{Precision, Scalar, StorageScalar};
 use clgemm_blas::workspace::{Workspace, WorkspaceScalar};
 use clgemm_blas::{GemmType, Trans};
@@ -67,22 +67,24 @@ impl RoutineMetrics {
     }
 }
 
-/// Padded problems whose every edge is at or below this run their
-/// packing, staging and merging serially: below ~64³ handing half of
-/// each `O(N²)` copy to a `shim::par` pool worker (a lock, a condvar
-/// wake-up and a wait for the worker to finish) saves too little to be
-/// worth it. The value was measured when every parallel copy spawned
-/// its own threads and is kept as it was; with the pool's cheaper
-/// hand-off the true break-even is likely lower.
-pub const SERIAL_PACK_MAX: usize = 64;
+/// Problems whose `m`, `n` and `k` are all at or below this pack their
+/// panels serially: handing half of the panels to a `shim::par` pool
+/// worker (a lock, a condvar wake-up and a wait for the worker) costs
+/// more than it saves until the copies grow past ~128². Measured for
+/// `pack_panels` on the pool, both operands of an f32 call with a
+/// column-major `C`, median of 200 interleaved runs on a 2-core host:
+/// serial against pooled took 2.7 against 4.5 µs at 32³, 10.0 against
+/// 13.6 µs at 64³, 40.8 against 51.6 µs at 128³, and 84.7 against
+/// 75.4 µs at 192³.
+pub const SERIAL_PACK_MAX: usize = 128;
 
-/// How the fast path moved data: serially below [`SERIAL_PACK_MAX`],
-/// split across the `shim::par` pool above it.
+/// How the fast path packed: serially up to [`SERIAL_PACK_MAX`], split
+/// across the `shim::par` pool above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackDecision {
     /// `true` when the serial copiers ran.
     pub serial: bool,
-    /// The padded-edge threshold the decision compared against.
+    /// The edge threshold the decision compared against.
     pub threshold: usize,
 }
 
@@ -104,9 +106,9 @@ pub struct GemmRun {
     /// Bare-kernel GFlop/s (`2MNK / kernel`).
     pub kernel_gflops: f64,
     /// The host register-tile decision for the fast path: the tuned
-    /// blocking, the tile that executed, and why they differ if they do.
-    /// `None` when no fast microkernel ran (reference engine, direct
-    /// path, degenerate shapes).
+    /// blocking next to the tile that executed. `None` when no fast
+    /// microkernel ran (reference engine, direct path, degenerate
+    /// shapes).
     pub tile: Option<TileDecision>,
     /// Whether the fast path copied data serially or in parallel, and
     /// the threshold it compared against. `None` when no fast-path
@@ -279,11 +281,13 @@ impl TunedGemm {
         if m == 0 || n == 0 {
             return GemmRun::empty();
         }
-        // An empty product (k = 0) leaves C ← β·C. So does α = 0, which
-        // the fast engine short-circuits instead of packing both operands
-        // for nothing; the reference engine keeps the full pipeline as
-        // the oracle.
-        if k == 0 || (alpha == T::ZERO && opts.engine == HostEngine::Fast) {
+        // An empty product (k = 0) leaves C ← β·C. So does α = 0 over
+        // finite operands, which the fast engine short-circuits instead
+        // of packing both operands for nothing; a NaN or infinity in A or
+        // B makes the product term NaN even at α = 0, so those run the
+        // full pipeline. The reference engine always does, as the oracle.
+        let zero_product = || alpha == T::ZERO && a.all_finite() && b.all_finite();
+        if k == 0 || (opts.engine == HostEngine::Fast && zero_product()) {
             scale_c(alpha, beta, c.view_mut());
             return GemmRun::empty();
         }
@@ -330,16 +334,6 @@ impl TunedGemm {
         metrics.stage_c.observe_value(run.stage_c);
         metrics.kernel.observe_value(run.kernel);
         metrics.total.observe_value(run.total);
-        if let Some(d) = run.tile {
-            // Labeled, created on first use: only reasons that actually
-            // occur appear in the exposition.
-            Registry::global()
-                .counter_labeled(
-                    "routine_tile_decisions_total",
-                    &[("reason", d.reason.tag())],
-                )
-                .inc();
-        }
         run
     }
 
@@ -419,7 +413,6 @@ impl TunedGemm {
                 .expect("padded dims divide the blocking")
         };
         let (da, db) = (dims(m, p.mwg), dims(n, p.nwg));
-        let (mp, np) = (da.width, db.width);
         let spec = |trans, layout, wwg| PackSpec {
             trans,
             layout,
@@ -438,10 +431,10 @@ impl TunedGemm {
             spec_b: spec(ty.tb, p.layout_b, p.nwg),
             da,
             db,
-            tile: TileSelector::host().select(p.precision, (p.mwi(), p.nwi()), mp, np),
+            tile: TileDecision::new(p.precision, (p.mwi(), p.nwi())),
             // Below the threshold the pool hand-off saves too little.
             pack: PackDecision {
-                serial: mp.max(np).max(kp) <= SERIAL_PACK_MAX,
+                serial: m.max(n).max(k) <= SERIAL_PACK_MAX,
                 threshold: SERIAL_PACK_MAX,
             },
         }
@@ -472,10 +465,22 @@ pub(crate) struct PackedPlan {
     pub(crate) pack: PackDecision,
 }
 
+impl PackedPlan {
+    /// The microkernel panel widths of `op(A)` and `op(B)` for a `C`
+    /// with contiguous columns (`col_major`) or rows, and the packed
+    /// lengths they give.
+    pub(crate) fn panels(&self, col_major: bool) -> ((usize, usize), (usize, usize)) {
+        let (wa, wb) = panel_widths(self.p.precision, col_major);
+        let len = |width: usize, w: usize| self.k * round_up(width, w);
+        ((wa, wb), (len(self.m, wa), len(self.n, wb)))
+    }
+}
+
 /// One packed GEMM entry — the pipeline a single fast call and every
-/// entry of a packed batch run: pack `A` and `B` (unless `packed_a` or
-/// `packed_b` holds one already packed), stage `C`, run the panel
-/// microkernel, merge. Copies run serially or over `shim::par` as
+/// entry of a packed batch run: pack `op(A)` and `op(B)` into microkernel
+/// panels (unless `packed_a` or `packed_b` holds one already packed),
+/// then run the microkernel, which applies `α·acc + β·C` straight to the
+/// caller's `C`. Packing runs serially or over `shim::par` as
 /// `plan.pack` says. `phase_spans` records the routine's per-phase
 /// spans, which only single calls do: a batch records one span for the
 /// whole call.
@@ -496,18 +501,17 @@ pub(crate) fn run_packed<S>(
     S::Acc: WorkspaceScalar,
 {
     let span = |name| phase_spans.then(|| clgemm_trace::span!(name));
-    let (p, da, db, serial) = (&plan.p, plan.da, plan.db, plan.pack.serial);
-    let (mp, np, kp, tile) = (da.width, db.width, da.k, plan.tile.tile);
-    let (pa, pb, staged) = ws.pool::<S::Acc>().buffers(
-        if packed_a.is_some() { 0 } else { da.len() },
-        if packed_b.is_some() { 0 } else { db.len() },
-        mp * np,
+    let serial = plan.pack.serial;
+    let ((wa, wb), (len_a, len_b)) = plan.panels(c.is_col_major());
+    let (pa, pb) = ws.pool::<S::Acc>().buffers(
+        if packed_a.is_some() { 0 } else { len_a },
+        if packed_b.is_some() { 0 } else { len_b },
     );
     let pa: &[S::Acc] = match packed_a {
         Some(packed) => packed,
         None => {
             let _g = span("routine.pack_a");
-            pack(a, plan.spec_a, pa, da, serial);
+            pack_panels(a, plan.spec_a.trans, wa, pa, serial);
             pa
         }
     };
@@ -515,30 +519,21 @@ pub(crate) fn run_packed<S>(
         Some(packed) => packed,
         None => {
             let _g = span("routine.pack_b");
-            pack(b, plan.spec_b, pb, db, serial);
+            pack_panels(b, plan.spec_b.trans, wb, pb, serial);
             pb
         }
     };
-    {
-        let _g = span("routine.stage_c");
-        stage(c.view(), p.mwg, p.nwg, staged, serial);
-    }
-    {
-        let _g = span("routine.kernel");
-        let (la, lb) = (p.layout_a, p.layout_b);
-        run_native_fast(
-            mp, np, kp, alpha, pa, da, la, pb, db, lb, beta, staged, tile,
-        );
-    }
-    let _g = span("routine.merge_c");
-    merge(staged, p.mwg, p.nwg, c, serial);
+    let _g = span("routine.kernel");
+    // The reference engine runs the depth padded to the tuned blocking.
+    let pad_depth = plan.da.k > plan.k;
+    run_microkernel(plan.k, alpha, pa, pb, beta, c, pad_depth);
 }
 
 /// `C ← β·C` for a product term that is an empty (`k = 0`) or zeroed
-/// (`α = 0`) sum. The update is the kernel's own merge arithmetic
-/// (`α·acc + β·old` with `acc = 0`), so the result — including NaN
-/// propagation from a non-finite α — matches the full pipeline bit for
-/// bit, up to the sign of exact zeros when α = 0.
+/// (`α = 0` over finite operands) sum. The update is the kernel's own
+/// merge arithmetic (`α·acc + β·old` with `acc = 0`), so the result —
+/// including NaN propagation from a non-finite α — matches the full
+/// pipeline bit for bit, up to the sign of exact zeros when α = 0.
 pub(crate) fn scale_c<S: StorageScalar>(alpha: S::Acc, beta: S::Acc, mut c: ViewMut<'_, S>) {
     let zero = <S::Acc as Scalar>::ZERO;
     c.update(|old| S::narrow(alpha.mul_add(zero, beta * old.widen())));
@@ -908,8 +903,8 @@ mod tests {
     fn sub_threshold_shapes_pack_serially_and_report_it() {
         let tg = small_tuned();
         let mut ws = Workspace::new();
-        // 40×24×20 pads to 48×32×24 with the 16/16/8 test blocking: every
-        // edge ≤ 64, so the serial copiers run.
+        // 40×24×20: every edge at or below the threshold, so the panels
+        // pack serially.
         let a = Matrix::<f64>::test_pattern(40, 20, StorageOrder::ColMajor, 1);
         let b = Matrix::<f64>::test_pattern(20, 24, StorageOrder::ColMajor, 2);
         let mut c = Matrix::<f64>::zeros(40, 24, StorageOrder::ColMajor);
@@ -932,10 +927,11 @@ mod tests {
             "prediction must report the same pack decision"
         );
 
-        // One padded edge past the threshold: parallel copiers.
-        let a = Matrix::<f64>::test_pattern(70, 20, StorageOrder::ColMajor, 1);
+        // One edge past the threshold: the panels pack on the pool.
+        let m = SERIAL_PACK_MAX + 6;
+        let a = Matrix::<f64>::test_pattern(m, 20, StorageOrder::ColMajor, 1);
         let b = Matrix::<f64>::test_pattern(20, 24, StorageOrder::ColMajor, 2);
-        let mut c = Matrix::<f64>::zeros(70, 24, StorageOrder::ColMajor);
+        let mut c = Matrix::<f64>::zeros(m, 24, StorageOrder::ColMajor);
         let run = tg.gemm_with(
             GemmType::NN,
             1.0,
@@ -946,10 +942,10 @@ mod tests {
             &mut ws,
             &GemmOptions::default(),
         );
-        assert!(!run.pack.unwrap().serial, "80-padded rows exceed 64");
+        assert!(!run.pack.unwrap().serial, "{m} rows exceed the threshold");
 
         // The reference engine reports no pack decision.
-        let mut c = Matrix::<f64>::zeros(70, 24, StorageOrder::ColMajor);
+        let mut c = Matrix::<f64>::zeros(m, 24, StorageOrder::ColMajor);
         let run = tg.gemm_with(
             GemmType::NN,
             1.0,

@@ -1,89 +1,168 @@
-//! SIMD-width-aware register-tile selection for the fast host path.
+//! The host microkernel's register tile, derived from the build.
 //!
 //! The tuned blocking `Mwi × Nwi` was chosen by the search engine for an
 //! OpenCL *device*; the host microkernel in [`crate::executor`] executes
 //! the same arithmetic on the CPU the process runs on, whose profitable
-//! register-tile shapes follow the CPU's FMA lane count instead (the
-//! paper's §III-B observation, applied to the host). The old code bridged
-//! the two worlds with a silent clamp into `1..=TILE_MAX` — a tuned 32×8
-//! blocking quietly executed as 16×8 with no trace in the run record.
+//! register tile follows the vector width and register count of the code
+//! the compiler emits instead (the paper's §III-B observation, applied to
+//! the host). The tile is therefore a function of the precision and the
+//! build alone: [`microkernel_tile`] fills the vector register file with
+//! accumulators, one row of `B` vectors and one broadcast `A` element,
+//! taking the shape with the most FMAs per loaded value. The routine
+//! bench sweeps the alternatives, and its smoke gate holds the chosen
+//! shape to a measured speed.
 //!
-//! [`TileSelector`] replaces that clamp with an explicit, reported
-//! decision: given the precision, the host lane width, the tuned
-//! blocking, and the problem shape, it returns a [`TileDecision`] naming
-//! the tile that will execute *and why it differs* from the tuned one
-//! (if it does). The decision rides on `GemmRun` all the way to the
-//! serving layer's per-worker stats.
-//!
-//! Selection never changes numerics: every C element sees the identical
-//! ascending-depth FMA chain regardless of tile shape (see
-//! [`crate::executor::run_native_fast`]), so substitution is purely a
-//! performance decision and is always safe to apply.
+//! [`TileDecision`] records the tuned blocking next to the tile that ran;
+//! it rides on `GemmRun` all the way to the serving layer's per-worker
+//! substitution counts. The tile never changes numerics: every `C`
+//! element sees the identical ascending-depth FMA chain whatever the
+//! shape (see [`crate::executor::run_panels`]).
 
-use crate::executor::Tile;
 use clgemm_blas::scalar::Precision;
-use clgemm_shim::simd::SimdLevel;
 
-/// Why the executed tile is (or is not) the tuned blocking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TileReason {
-    /// The tuned `Mwi × Nwi` fits the register budget and is
-    /// lane-aligned; it executes verbatim.
-    Tuned,
-    /// The tuned blocking fits the register budget but its column edge
-    /// does not fill the host vector, so a lane-aligned shape of similar
-    /// footprint was substituted.
-    LaneRealigned,
-    /// The tuned blocking exceeds [`TILE_MAX`] in at least one direction
-    /// (the case the old code clamped silently); a benchmark-validated
-    /// shape was substituted.
-    Oversize,
-    /// The (padded) problem is small in every direction, so the tile came
-    /// from the dedicated small-shape candidate sweep instead of the
-    /// 1024³-ordered tables — the batched path's many-small-matrices
-    /// regime, where fringe waste dominates panel reuse.
-    SmallShape,
+/// Bits per vector register in the code this build emits. LLVM keeps
+/// AVX-512 builds on 256-bit vectors for the cores it tunes with its
+/// `prefer-256-bit` preference (the Intel AVX-512 server cores among
+/// them; the kernels' `vfmadd`s come out as ymm, not zmm), so an AVX-512
+/// build counts as 256 bits. Zero when the build emits no vectors.
+pub const VECTOR_BITS: usize = if cfg!(target_feature = "avx") {
+    256
+} else if cfg!(any(target_feature = "sse2", target_feature = "neon")) {
+    128
+} else {
+    0
+};
+
+/// Vector registers the build can allocate: 32 with AVX-512 (its EVEX
+/// encoding reaches ymm16–31) and on AArch64, 16 otherwise.
+pub const VECTOR_REGISTERS: usize =
+    if cfg!(any(target_feature = "avx512f", target_arch = "aarch64")) {
+        32
+    } else {
+        16
+    };
+
+/// FMA lanes per emitted vector register at `precision`; one when the
+/// build emits no vectors of that width.
+#[must_use]
+pub const fn lanes(precision: Precision) -> usize {
+    let bits = match precision {
+        Precision::F32 => 32,
+        Precision::F64 => 64,
+    };
+    if VECTOR_BITS >= bits {
+        VECTOR_BITS / bits
+    } else {
+        1
+    }
 }
 
-impl TileReason {
-    /// Stable lowercase tag for logs and the bench JSON.
+/// A register-tile shape: `mr` rows by `nr` columns of `C`, with `nr`
+/// the vectorised direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Tile {
+    mr: usize,
+    nr: usize,
+}
+
+impl Tile {
+    /// An `mr × nr` tile; `None` when an edge is zero.
     #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            TileReason::Tuned => "tuned",
-            TileReason::LaneRealigned => "lane-realigned",
-            TileReason::Oversize => "oversize",
-            TileReason::SmallShape => "small-shape",
+    pub const fn new(mr: usize, nr: usize) -> Option<Tile> {
+        if mr >= 1 && nr >= 1 {
+            Some(Tile { mr, nr })
+        } else {
+            None
         }
     }
-}
 
-impl std::fmt::Display for TileReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.tag())
+    /// Rows of `C` per register tile.
+    #[must_use]
+    pub const fn mr(self) -> usize {
+        self.mr
+    }
+
+    /// Columns of `C` per register tile (the vectorised direction).
+    #[must_use]
+    pub const fn nr(self) -> usize {
+        self.nr
+    }
+
+    /// Both edges as a pair.
+    #[must_use]
+    pub const fn dims(self) -> (usize, usize) {
+        (self.mr, self.nr)
+    }
+
+    /// Vector registers the tile occupies at `lanes` lanes: its
+    /// accumulators, one row of `B` vectors and one broadcast `A`
+    /// element.
+    #[must_use]
+    pub const fn registers(self, lanes: usize) -> usize {
+        let nv = self.nr.div_ceil(lanes);
+        self.mr * nv + nv + 1
     }
 }
 
-/// The outcome of one tile selection: what was asked for, what will
-/// execute, and why they differ if they do.
+impl std::fmt::Display for Tile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x{}", self.mr, self.nr)
+    }
+}
+
+/// The register tile for `lanes`-wide vectors and `registers` vector
+/// registers. Each candidate is `nv` vectors wide (`nv` in 1, 2, 4) and
+/// as tall as the registers left after its `B` row and the broadcast
+/// allow; the one with the most FMAs per loaded value, `mr·nv / (mr +
+/// nv)`, wins. 32 registers give `6 × 4·lanes`, 16 give `6 × 2·lanes`.
+#[must_use]
+pub const fn register_tile(lanes: usize, registers: usize) -> Tile {
+    let (mut mr, mut nv) = (1, 1);
+    let mut cand = 1;
+    while cand <= 4 {
+        if registers > 2 * cand {
+            let rows = (registers - cand - 1) / cand;
+            if rows * cand * (mr + nv) > mr * nv * (rows + cand) {
+                (mr, nv) = (rows, cand);
+            }
+        }
+        cand *= 2;
+    }
+    Tile { mr, nr: nv * lanes }
+}
+
+/// The tile the host microkernel runs at `precision` in this build.
+#[must_use]
+pub const fn microkernel_tile(precision: Precision) -> Tile {
+    register_tile(lanes(precision), VECTOR_REGISTERS)
+}
+
+/// The tuned blocking of one call next to the register tile that ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileDecision {
     /// The tuned `(Mwi, Nwi)` blocking the request arrived with.
     pub tuned: (usize, usize),
-    /// The register tile the microkernel will execute.
+    /// The register tile the microkernel executes.
     pub tile: Tile,
-    /// FMA lanes per vector register at the selected precision.
+    /// FMA lanes per emitted vector register at the call's precision.
     pub lanes: usize,
-    /// Why `tile` equals — or does not equal — `tuned`.
-    pub reason: TileReason,
 }
 
 impl TileDecision {
-    /// `true` when the executed tile differs from the tuned blocking —
-    /// exactly the situations the old clamp hid.
+    /// The decision for a call at `precision` with a tuned blocking.
+    #[must_use]
+    pub const fn new(precision: Precision, tuned: (usize, usize)) -> TileDecision {
+        TileDecision {
+            tuned,
+            tile: microkernel_tile(precision),
+            lanes: lanes(precision),
+        }
+    }
+
+    /// `true` when the executed tile differs from the tuned blocking.
     #[must_use]
     pub fn substituted(self) -> bool {
-        self.reason != TileReason::Tuned
+        self.tile.dims() != self.tuned
     }
 }
 
@@ -91,255 +170,105 @@ impl std::fmt::Display for TileDecision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}x{} -> {} ({}, {} lanes)",
-            self.tuned.0, self.tuned.1, self.tile, self.reason, self.lanes
+            "{}x{} -> {} ({} lanes)",
+            self.tuned.0, self.tuned.1, self.tile, self.lanes
         )
     }
-}
-
-/// Candidate tiles per f-lane count, in measured preference order — the
-/// `routine/tile_*` bench sweep in `crates/bench` covers exactly these
-/// shapes, and its timings set this ordering (e.g. at 16 lanes the wide
-/// 8×16/16×16 tiles spill registers and lose to 4×16 by over 3×). Every
-/// `nr` is a multiple of the lane count so the compiler can keep whole
-/// vectors of independent accumulators live; `mr` trades register
-/// pressure against panel reuse.
-fn candidates(lanes: usize) -> &'static [(usize, usize)] {
-    match lanes {
-        16 => &[(4, 16), (2, 16), (8, 16), (16, 16)],
-        8 => &[(8, 8), (4, 8), (4, 16), (2, 8), (16, 8), (8, 16)],
-        4 => &[(8, 8), (16, 4), (8, 12), (8, 4), (12, 4), (4, 4), (2, 4)],
-        2 => &[(8, 8), (16, 4), (8, 6), (8, 4), (4, 4), (8, 2), (2, 2)],
-        _ => &[(8, 8), (8, 4), (4, 8), (4, 4), (6, 2), (2, 2)],
-    }
-}
-
-/// Problems whose padded `m` and `n` are both at or below this edge take
-/// the small-shape candidate sweep instead of the 1024³-ordered tables.
-/// Chosen to cover the batched path's direct-kernel regime (≤ 128³ runs
-/// unpacked) while leaving every flagship shape on the tuned tables.
-pub const SMALL_SHAPE_MAX: usize = 64;
-
-/// Candidate tiles for small problems, same lane-alignment rules as
-/// [`candidates`] but ordered by a sweep at 32³–64³: with at most a few
-/// panel passes, fringe waste dominates reuse, so modest tiles that
-/// divide small edges evenly come first and the wide spilly shapes are
-/// gone entirely.
-fn small_candidates(lanes: usize) -> &'static [(usize, usize)] {
-    match lanes {
-        16 => &[(4, 16), (2, 16), (1, 16)],
-        8 => &[(4, 8), (2, 8), (8, 8), (1, 8)],
-        4 => &[(4, 4), (8, 4), (4, 8), (2, 4), (1, 4)],
-        2 => &[(4, 4), (4, 2), (2, 2), (8, 2), (1, 2)],
-        _ => &[(4, 4), (2, 2), (4, 2), (1, 1)],
-    }
-}
-
-/// Maps a tuned blocking to the register tile the host microkernel will
-/// actually run, given the host's SIMD lane width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileSelector {
-    lanes_f32: usize,
-    lanes_f64: usize,
-}
-
-impl TileSelector {
-    /// Selector for the running host (cached hardware probe, honours the
-    /// `CLGEMM_SIMD` override).
-    #[must_use]
-    pub fn host() -> TileSelector {
-        TileSelector::for_level(SimdLevel::detect())
-    }
-
-    /// Selector for an explicit instruction-set tier.
-    #[must_use]
-    pub fn for_level(level: SimdLevel) -> TileSelector {
-        TileSelector {
-            lanes_f32: level.lanes_f32(),
-            lanes_f64: level.lanes_f64(),
-        }
-    }
-
-    /// Selector with explicit lane counts (tests / what-if analysis).
-    #[must_use]
-    pub fn with_lanes(lanes_f32: usize, lanes_f64: usize) -> TileSelector {
-        TileSelector {
-            lanes_f32: lanes_f32.max(1),
-            lanes_f64: lanes_f64.max(1),
-        }
-    }
-
-    /// FMA lanes per vector register at `precision`.
-    #[must_use]
-    pub fn lanes(&self, precision: Precision) -> usize {
-        match precision {
-            Precision::F32 => self.lanes_f32,
-            Precision::F64 => self.lanes_f64,
-        }
-    }
-
-    /// Choose the register tile for a tuned `Mwi × Nwi` blocking on an
-    /// `m × n` (padded) problem.
-    ///
-    /// Small problems (both padded edges at or below
-    /// [`SMALL_SHAPE_MAX`]) take the dedicated small-shape sweep — the
-    /// tuned tables are ordered by timings at 1024³ and mis-rank tiles
-    /// when there are only a handful of panel passes. Otherwise the
-    /// tuned blocking executes verbatim when it fits the register budget
-    /// *and* its column edge fills whole vectors; failing that, the
-    /// first entry of the lane table that fits the problem is taken.
-    /// When even the smallest candidate overhangs (tiny problems), the
-    /// ragged-edge handling of the microkernel makes any shape valid, so
-    /// the smallest-area entry is used.
-    #[must_use]
-    pub fn select(
-        &self,
-        precision: Precision,
-        tuned: (usize, usize),
-        m: usize,
-        n: usize,
-    ) -> TileDecision {
-        let lanes = self.lanes(precision);
-        if m.max(n) <= SMALL_SHAPE_MAX {
-            let pick = pick_fitting(small_candidates(lanes), m, n);
-            let tile = Tile::new(pick.0, pick.1).expect("candidate tables stay within TILE_MAX");
-            // The sweep may land on the tuned blocking itself — that is
-            // not a substitution worth flagging.
-            let reason = if pick == tuned {
-                TileReason::Tuned
-            } else {
-                TileReason::SmallShape
-            };
-            return TileDecision {
-                tuned,
-                tile,
-                lanes,
-                reason,
-            };
-        }
-        let as_tile = Tile::new(tuned.0, tuned.1);
-        if let Some(tile) = as_tile {
-            if tile.nr() % lanes == 0 {
-                return TileDecision {
-                    tuned,
-                    tile,
-                    lanes,
-                    reason: TileReason::Tuned,
-                };
-            }
-        }
-        let reason = if as_tile.is_some() {
-            TileReason::LaneRealigned
-        } else {
-            TileReason::Oversize
-        };
-        let pick = pick_fitting(candidates(lanes), m, n);
-        let tile = Tile::new(pick.0, pick.1).expect("candidate tables stay within TILE_MAX");
-        TileDecision {
-            tuned,
-            tile,
-            lanes,
-            reason,
-        }
-    }
-}
-
-/// First table entry that fits the problem, else the smallest-area entry.
-fn pick_fitting(table: &[(usize, usize)], m: usize, n: usize) -> (usize, usize) {
-    table
-        .iter()
-        .copied()
-        .find(|&(mr, nr)| mr <= m.max(1) && nr <= n.max(1))
-        .unwrap_or_else(|| {
-            table
-                .iter()
-                .copied()
-                .min_by_key(|&(mr, nr)| mr * nr)
-                .expect("candidate tables are non-empty")
-        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::TILE_MAX;
 
     #[test]
-    fn tuned_blocking_runs_verbatim_when_aligned() {
-        let sel = TileSelector::with_lanes(4, 2);
-        let d = sel.select(Precision::F32, (8, 8), 1024, 1024);
-        assert_eq!(d.reason, TileReason::Tuned);
-        assert_eq!(d.tile.dims(), (8, 8));
-        assert!(!d.substituted());
+    fn candidate_tables_are_valid_and_lane_aligned() {
+        // Every tile the derivation can produce, across the vector widths
+        // and register files it may meet, fits its register budget and
+        // fills whole vectors.
+        for lanes in [1usize, 2, 4, 8, 16] {
+            for registers in [16usize, 32] {
+                let t = register_tile(lanes, registers);
+                assert!(Tile::new(t.mr(), t.nr()).is_some(), "{t}");
+                assert_eq!(t.nr() % lanes, 0, "{t} not aligned to {lanes} lanes");
+                assert!(
+                    t.registers(lanes) <= registers,
+                    "{t} needs {} of {registers} registers",
+                    t.registers(lanes)
+                );
+            }
+        }
+        assert_eq!(register_tile(8, 32).dims(), (6, 32));
+        assert_eq!(register_tile(4, 32).dims(), (6, 16));
+        assert_eq!(register_tile(8, 16).dims(), (6, 16));
     }
 
     #[test]
     fn oversize_blocking_is_substituted_and_reported() {
-        // The exact shape the old clamp silently shrank: tuned 32×8.
-        let sel = TileSelector::with_lanes(8, 4);
-        let d = sel.select(Precision::F32, (32, 8), 1024, 1024);
-        assert_eq!(d.reason, TileReason::Oversize);
+        // A tuned 32×8 blocking cannot run as a register tile; the
+        // decision records it next to the tile that did.
+        let d = TileDecision::new(Precision::F32, (32, 8));
         assert!(d.substituted());
-        assert!(d.tile.mr() <= TILE_MAX && d.tile.nr() <= TILE_MAX);
-        assert_eq!(d.tile.nr() % 8, 0, "substitute must be lane-aligned");
         assert_eq!(d.tuned, (32, 8));
+        assert_eq!(d.tile, microkernel_tile(Precision::F32));
+        assert!(d.tile.registers(d.lanes) <= VECTOR_REGISTERS);
+    }
+
+    #[test]
+    fn tuned_blocking_runs_verbatim_when_aligned() {
+        // A tuned blocking equal to the build's tile runs as tuned, and
+        // the decision reports no substitution.
+        for precision in [Precision::F32, Precision::F64] {
+            let t = microkernel_tile(precision);
+            let d = TileDecision::new(precision, t.dims());
+            assert_eq!(d.tile.dims(), d.tuned);
+            assert!(!d.substituted());
+        }
     }
 
     #[test]
     fn misaligned_blocking_is_realigned() {
-        // 6×2 fits the budget but wastes an 8-lane vector.
-        let sel = TileSelector::with_lanes(8, 4);
-        let d = sel.select(Precision::F32, (6, 2), 512, 512);
-        assert_eq!(d.reason, TileReason::LaneRealigned);
-        assert_eq!(d.tile.nr() % 8, 0);
+        // 6×2 fits the budget but wastes a vector; the executed tile
+        // fills whole vectors.
+        let d = TileDecision::new(Precision::F32, (6, 2));
+        assert_eq!(d.tile.nr() % d.lanes, 0);
+        assert_eq!(d.substituted(), d.tile.dims() != (6, 2));
     }
 
     #[test]
-    fn candidate_tables_are_valid_and_lane_aligned() {
-        for lanes in [1usize, 2, 4, 8, 16] {
-            for &(mr, nr) in candidates(lanes).iter().chain(small_candidates(lanes)) {
-                assert!(
-                    Tile::new(mr, nr).is_some(),
-                    "{mr}x{nr} outside the register budget"
-                );
-                assert_eq!(nr % lanes, 0, "{mr}x{nr} not aligned to {lanes} lanes");
-            }
+    fn precision_selects_the_lane_bank() {
+        assert!(lanes(Precision::F32) >= lanes(Precision::F64));
+        for precision in [Precision::F32, Precision::F64] {
+            let d = TileDecision::new(precision, (4, 4));
+            assert_eq!(d.lanes, lanes(precision));
+            assert_eq!(d.tile, register_tile(d.lanes, VECTOR_REGISTERS));
+            assert_eq!(
+                d.to_string(),
+                format!("4x4 -> {} ({} lanes)", d.tile, d.lanes)
+            );
         }
     }
 
     #[test]
     fn tiny_problems_still_get_a_tile() {
-        let sel = TileSelector::with_lanes(16, 8);
-        let d = sel.select(Precision::F32, (32, 32), 1, 1);
-        assert!(d.tile.mr() <= TILE_MAX && d.tile.nr() <= TILE_MAX);
-        assert_eq!(d.reason, TileReason::SmallShape);
-        assert!(d.substituted());
-    }
-
-    #[test]
-    fn small_shapes_take_the_small_sweep() {
-        let sel = TileSelector::with_lanes(8, 4);
-        // 64×64 padded problem: small sweep, even though the tuned 8×8
-        // blocking would have run verbatim at 1024³.
-        let d = sel.select(Precision::F64, (8, 8), 64, 64);
-        assert_eq!(d.reason, TileReason::SmallShape);
-        assert_eq!(d.tile.dims(), (4, 4));
-        assert_eq!(d.tile.nr() % 4, 0);
-        // One edge past the threshold: back on the tuned tables.
-        let d = sel.select(Precision::F64, (8, 8), 65, 64);
-        assert_eq!(d.reason, TileReason::Tuned);
-        // The sweep landing on the tuned blocking is not a substitution.
-        let d = sel.select(Precision::F64, (4, 4), 48, 48);
-        assert_eq!(d.reason, TileReason::Tuned);
-        assert_eq!(d.tile.dims(), (4, 4));
-    }
-
-    #[test]
-    fn precision_selects_the_lane_bank() {
-        let sel = TileSelector::with_lanes(16, 8);
-        assert_eq!(sel.lanes(Precision::F32), 16);
-        assert_eq!(sel.lanes(Precision::F64), 8);
-        let host = TileSelector::host();
-        assert!(host.lanes(Precision::F32) >= host.lanes(Precision::F64));
+        // The tile depends on the precision and the build, never on the
+        // problem: a 1×1×1 call runs the full tile, all of it fringe, and
+        // reports it.
+        use crate::params::small_test_params;
+        use crate::routine::TunedGemm;
+        use clgemm_blas::matrix::{Matrix, StorageOrder};
+        use clgemm_blas::GemmType;
+        let tg = TunedGemm::new(
+            clgemm_device::DeviceId::Tahiti.spec(),
+            small_test_params(Precision::F64),
+            small_test_params(Precision::F32),
+        );
+        let a = Matrix::<f32>::from_fn(1, 1, StorageOrder::ColMajor, |_, _| 3.0);
+        let b = Matrix::<f32>::from_fn(1, 1, StorageOrder::ColMajor, |_, _| 0.5);
+        let mut c = Matrix::<f32>::from_fn(1, 1, StorageOrder::ColMajor, |_, _| 2.0);
+        let run = tg.gemm(GemmType::NN, 2.0, &a, &b, 0.25, &mut c);
+        let p = small_test_params(Precision::F32);
+        let d = run.tile.expect("a fast call reports its tile");
+        assert_eq!(d, TileDecision::new(Precision::F32, (p.mwi(), p.nwi())));
+        assert_eq!(c.at(0, 0), 3.5);
     }
 }

@@ -48,6 +48,7 @@ use clgemm_blas::scalar::Scalar;
 use clgemm_blas::Trans;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
+use std::hint::black_box;
 use std::sync::OnceLock;
 
 /// Content identity of a GEMM request: equal keys ⇒ the same
@@ -84,10 +85,22 @@ fn fold_mul(a: u64, b: u64) -> u64 {
     (p as u64) ^ ((p >> 64) as u64)
 }
 
-/// One round: lane `l` absorbs words `2l` and `2l + 1` of `block`.
+/// One round: lane `l` absorbs words `2l` and `2l + 1` of a block read
+/// through `word`. Each lane's result passes through `black_box`, which
+/// keeps the four chains in general registers: left alone, LLVM
+/// vectorises the four lanes' xors and moves the lane state between
+/// vector and general registers around every multiply, at a third of
+/// the throughput. The hashed value is the same either way.
 #[inline]
-fn round(lane: [u64; LANES], mask: [u64; LANES], block: [u64; BLOCK]) -> [u64; LANES] {
-    std::array::from_fn(|l| fold_mul(block[2 * l] ^ lane[l], block[2 * l + 1] ^ mask[l]))
+fn round(lane: [u64; LANES], mask: [u64; LANES], word: impl Fn(usize) -> u64) -> [u64; LANES] {
+    let [l0, l1, l2, l3] = lane;
+    let [m0, m1, m2, m3] = mask;
+    [
+        black_box(fold_mul(word(0) ^ l0, word(1) ^ m0)),
+        black_box(fold_mul(word(2) ^ l1, word(3) ^ m1)),
+        black_box(fold_mul(word(4) ^ l2, word(5) ^ m2)),
+        black_box(fold_mul(word(6) ^ l3, word(7) ^ m3)),
+    ]
 }
 
 /// Storage scalars the key reads as raw bits, `PER_WORD` to a word.
@@ -95,8 +108,8 @@ trait Bits: Copy {
     const PER_WORD: usize;
     /// One word from `PER_WORD` elements (fewer only at a line's end).
     fn word(elems: &[Self]) -> u64;
-    /// A round's words from exactly `BLOCK · PER_WORD` elements.
-    fn block(elems: &[Self]) -> [u64; BLOCK];
+    /// Word `i` of a block of exactly `BLOCK · PER_WORD` elements.
+    fn block_word(elems: &[Self], i: usize) -> u64;
 }
 
 impl Bits for f64 {
@@ -106,9 +119,8 @@ impl Bits for f64 {
         elems[0].to_bits()
     }
     #[inline]
-    fn block(elems: &[f64]) -> [u64; BLOCK] {
-        let elems: &[f64; BLOCK] = elems.try_into().expect("one block");
-        elems.map(f64::to_bits)
+    fn block_word(elems: &[f64], i: usize) -> u64 {
+        elems[i].to_bits()
     }
 }
 
@@ -122,11 +134,8 @@ impl Bits for f32 {
             .fold(0, |w, x| w << 32 | u64::from(x.to_bits()))
     }
     #[inline]
-    fn block(elems: &[f32]) -> [u64; BLOCK] {
-        let elems: &[f32; 2 * BLOCK] = elems.try_into().expect("one block");
-        std::array::from_fn(|i| {
-            u64::from(elems[2 * i].to_bits()) | u64::from(elems[2 * i + 1].to_bits()) << 32
-        })
+    fn block_word(elems: &[f32], i: usize) -> u64 {
+        u64::from(elems[2 * i].to_bits()) | u64::from(elems[2 * i + 1].to_bits()) << 32
     }
 }
 
@@ -158,7 +167,7 @@ impl Lanes {
         self.words += 1;
         if self.fill == BLOCK {
             self.fill = 0;
-            self.lane = round(self.lane, self.mask, self.pending);
+            self.lane = round(self.lane, self.mask, |i| self.pending[i]);
         }
     }
 
@@ -172,7 +181,7 @@ impl Lanes {
         let mut blocks = body.chunks_exact(BLOCK * T::PER_WORD);
         let mut lanes = self.lane;
         for b in &mut blocks {
-            lanes = round(lanes, self.mask, T::block(b));
+            lanes = round(lanes, self.mask, |i| T::block_word(b, i));
         }
         self.lane = lanes;
         self.words += (body.len() / (BLOCK * T::PER_WORD) * BLOCK) as u64;
@@ -187,7 +196,7 @@ impl Lanes {
     fn finish(mut self) -> (u64, u64) {
         if self.fill > 0 {
             self.pending[self.fill..].fill(0);
-            self.lane = round(self.lane, self.mask, self.pending);
+            self.lane = round(self.lane, self.mask, |i| self.pending[i]);
         }
         let f = &seeds()[2 * LANES..];
         let [a, b, c, d] = self.lane;
@@ -392,6 +401,156 @@ impl ResultCache {
     #[must_use]
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
+    }
+}
+
+/// The content key as it was computed while the lane rounds ran through
+/// arrays, kept as the oracle [`content_key`] must match: the key must
+/// stay the same function of the request.
+#[cfg(test)]
+mod oracle {
+    use super::{fold_mul, order_tag, seeds, trans_tag, ContentKey, BLOCK, LANES};
+    use crate::request::{GemmPayload, GemmRequest};
+    use clgemm_blas::matrix::Matrix;
+    use clgemm_blas::scalar::Scalar;
+
+    fn round(lane: [u64; LANES], mask: [u64; LANES], block: [u64; BLOCK]) -> [u64; LANES] {
+        std::array::from_fn(|l| fold_mul(block[2 * l] ^ lane[l], block[2 * l + 1] ^ mask[l]))
+    }
+
+    trait Bits: Copy {
+        const PER_WORD: usize;
+        fn word(elems: &[Self]) -> u64;
+        fn block(elems: &[Self]) -> [u64; BLOCK];
+    }
+
+    impl Bits for f64 {
+        const PER_WORD: usize = 1;
+        fn word(elems: &[f64]) -> u64 {
+            elems[0].to_bits()
+        }
+        fn block(elems: &[f64]) -> [u64; BLOCK] {
+            let elems: &[f64; BLOCK] = elems.try_into().expect("one block");
+            elems.map(f64::to_bits)
+        }
+    }
+
+    impl Bits for f32 {
+        const PER_WORD: usize = 2;
+        fn word(elems: &[f32]) -> u64 {
+            elems
+                .iter()
+                .rev()
+                .fold(0, |w, x| w << 32 | u64::from(x.to_bits()))
+        }
+        fn block(elems: &[f32]) -> [u64; BLOCK] {
+            let elems: &[f32; 2 * BLOCK] = elems.try_into().expect("one block");
+            std::array::from_fn(|i| {
+                u64::from(elems[2 * i].to_bits()) | u64::from(elems[2 * i + 1].to_bits()) << 32
+            })
+        }
+    }
+
+    struct Lanes {
+        lane: [u64; LANES],
+        mask: [u64; LANES],
+        pending: [u64; BLOCK],
+        fill: usize,
+        words: u64,
+    }
+
+    impl Lanes {
+        fn new() -> Lanes {
+            let s = seeds();
+            Lanes {
+                lane: std::array::from_fn(|l| s[l]),
+                mask: std::array::from_fn(|l| s[LANES + l]),
+                pending: [0; BLOCK],
+                fill: 0,
+                words: 0,
+            }
+        }
+
+        fn write(&mut self, word: u64) {
+            self.pending[self.fill] = word;
+            self.fill += 1;
+            self.words += 1;
+            if self.fill == BLOCK {
+                self.fill = 0;
+                self.lane = round(self.lane, self.mask, self.pending);
+            }
+        }
+
+        fn write_line<T: Bits>(&mut self, line: &[T]) {
+            let head = ((BLOCK - self.fill) % BLOCK * T::PER_WORD).min(line.len());
+            let (head, body) = line.split_at(head);
+            head.chunks(T::PER_WORD)
+                .for_each(|w| self.write(T::word(w)));
+            let mut blocks = body.chunks_exact(BLOCK * T::PER_WORD);
+            let mut lanes = self.lane;
+            for b in &mut blocks {
+                lanes = round(lanes, self.mask, T::block(b));
+            }
+            self.lane = lanes;
+            self.words += (body.len() / (BLOCK * T::PER_WORD) * BLOCK) as u64;
+            let tail = blocks.remainder();
+            tail.chunks(T::PER_WORD)
+                .for_each(|w| self.write(T::word(w)));
+        }
+
+        fn finish(mut self) -> (u64, u64) {
+            if self.fill > 0 {
+                self.pending[self.fill..].fill(0);
+                self.lane = round(self.lane, self.mask, self.pending);
+            }
+            let f = &seeds()[2 * LANES..];
+            let [a, b, c, d] = self.lane;
+            let x = fold_mul(a ^ f[0], b ^ self.words);
+            let y = fold_mul(c ^ f[1], d ^ f[2]);
+            (fold_mul(x ^ f[3], y ^ f[0]), fold_mul(x ^ f[2], y ^ f[3]))
+        }
+    }
+
+    fn hash_matrix<T: Scalar + Bits>(h: &mut Lanes, m: &Matrix<T>) -> u64 {
+        h.write(m.rows() as u64);
+        h.write(m.cols() as u64);
+        h.write(order_tag(m.order()));
+        m.lines().for_each(|line| h.write_line(line));
+        (m.rows() * m.cols()) as u64
+    }
+
+    pub(super) fn content_key(req: &GemmRequest) -> ContentKey {
+        let mut h = Lanes::new();
+        h.write(trans_tag(req.ty.ta));
+        h.write(trans_tag(req.ty.tb));
+        let elems = match &req.payload {
+            GemmPayload::F64 {
+                alpha,
+                a,
+                b,
+                beta,
+                c,
+            } => {
+                h.write(0);
+                h.write(alpha.to_bits());
+                h.write(beta.to_bits());
+                hash_matrix(&mut h, a) + hash_matrix(&mut h, b) + hash_matrix(&mut h, c)
+            }
+            GemmPayload::F32 {
+                alpha,
+                a,
+                b,
+                beta,
+                c,
+            } => {
+                h.write(1);
+                h.write(u64::from(alpha.to_bits()));
+                h.write(u64::from(beta.to_bits()));
+                hash_matrix(&mut h, a) + hash_matrix(&mut h, b) + hash_matrix(&mut h, c)
+            }
+        };
+        let (h1, h2) = h.finish();
+        ContentKey { h1, h2, elems }
     }
 }
 
@@ -702,5 +861,90 @@ mod tests {
             unreachable!()
         };
         assert_eq!(c.as_slice(), src.as_slice(), "bit-identical copy");
+    }
+    #[test]
+    fn keys_match_the_array_round_oracle() {
+        // Random operands of both precisions, both storage orders, padded
+        // and tight leading dimensions, and edges that leave partial
+        // blocks at the ends of lines and of the key.
+        let mut rng = clgemm_shim::rng::Rng::new(0x5EED);
+        for case in 0..200 {
+            let dim = |rng: &mut clgemm_shim::rng::Rng| rng.range(1, 40);
+            let (m, n, k) = (dim(&mut rng), dim(&mut rng), dim(&mut rng));
+            let order = |rng: &mut clgemm_shim::rng::Rng| {
+                if rng.bool() {
+                    StorageOrder::ColMajor
+                } else {
+                    StorageOrder::RowMajor
+                }
+            };
+            let (oa, ob, oc) = (order(&mut rng), order(&mut rng), order(&mut rng));
+            let pad = rng.range(0, 5);
+            let mut rand = |rows: usize, cols: usize, o: StorageOrder| {
+                let minor = if o == StorageOrder::ColMajor {
+                    rows
+                } else {
+                    cols
+                };
+                let mut x = Matrix::<f64>::zeros_with_ld(rows, cols, minor + pad, o);
+                x.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|v| *v = f64::from_bits(rng.next_u64()));
+                x
+            };
+            let (a, b, c) = (rand(m, k, oa), rand(k, n, ob), rand(m, n, oc));
+            let ty = GemmType::ALL[case % 4];
+            let (a, b) = (
+                if ty.ta == Trans::Yes {
+                    transpose_dims(&a)
+                } else {
+                    a
+                },
+                if ty.tb == Trans::Yes {
+                    transpose_dims(&b)
+                } else {
+                    b
+                },
+            );
+            let alpha = f64::from_bits(rng.next_u64());
+            let req = GemmRequest::new(
+                ty,
+                GemmPayload::F64 {
+                    alpha,
+                    a: a.clone(),
+                    b: b.clone(),
+                    beta: 0.5,
+                    c: c.clone(),
+                },
+            );
+            assert_eq!(
+                content_key(&req),
+                oracle::content_key(&req),
+                "f64 case {case}"
+            );
+            let narrow = |x: &Matrix<f64>| {
+                Matrix::<f32>::from_fn(x.rows(), x.cols(), x.order(), |i, j| x.at(i, j) as f32)
+            };
+            let req = GemmRequest::new(
+                ty,
+                GemmPayload::F32 {
+                    alpha: alpha as f32,
+                    a: padded(&narrow(&a), a.ld() + 1, f32::NAN),
+                    b: narrow(&b),
+                    beta: -0.0,
+                    c: padded(&narrow(&c), c.ld(), 1.0),
+                },
+            );
+            assert_eq!(
+                content_key(&req),
+                oracle::content_key(&req),
+                "f32 case {case}"
+            );
+        }
+    }
+
+    /// The same elements seen as the transposed operand's storage.
+    fn transpose_dims(x: &Matrix<f64>) -> Matrix<f64> {
+        Matrix::from_fn(x.cols(), x.rows(), x.order(), |i, j| x.at(j, i))
     }
 }

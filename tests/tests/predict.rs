@@ -13,7 +13,6 @@ use clgemm::params::KernelParams;
 use clgemm::predict::{
     predict, predict_best, predict_enabled, predict_enabled_in, FeasibleSet, MAX_CANDIDATES,
 };
-use clgemm::tile::{TileReason, TileSelector};
 use clgemm::tuner::search::{measure_gflops, stage1_base, stage1_n};
 use clgemm::tuner::{Measurement, SearchSpace};
 use clgemm::tuning_db::{DbError, DbKey, TuningDb, DB_ENV, DB_MAGIC, DB_SCHEMA_VERSION};
@@ -91,30 +90,34 @@ fn predictions_clear_every_hard_constraint_on_every_profile() {
     }
 }
 
-/// On CPUs the predicted per-work-item blocking must survive tile
-/// selection untouched: the host microkernel realigns tiles whose
-/// column edge does not fill whole SIMD vectors, and a prediction that
-/// triggers that substitution was never really "predicted".
+/// On CPUs the predicted per-work-item blocking must be one the host
+/// could run as a register tile: within the register budget (at most 16
+/// per edge, the largest tile the host kernel ever instantiated) and
+/// with a column edge that fills whole SIMD vectors (`Nwi % lanes == 0`,
+/// at the device's f32 lane count and half of it for f64). A prediction
+/// outside that was never really "predicted".
 #[test]
 fn cpu_predictions_stay_lane_aligned_through_tile_selection() {
+    const REGISTER_TILE_MAX: usize = 16;
     for id in DeviceId::ALL {
         let dev = id.spec();
         if !dev.is_cpu() {
             continue;
         }
-        let lanes = dev.micro.native_simd_lanes;
-        let selector = TileSelector::with_lanes(lanes, (lanes / 2).max(1));
+        let f32_lanes = dev.micro.native_simd_lanes;
         for precision in [Precision::F32, Precision::F64] {
+            let lanes = match precision {
+                Precision::F32 => f32_lanes.max(1),
+                Precision::F64 => (f32_lanes / 2).max(1),
+            };
             for pred in predict(&dev, precision) {
-                let p = pred.params;
-                let d = selector.select(precision, (p.mwi(), p.nwi()), 2048, 2048);
-                assert_eq!(
-                    d.reason,
-                    TileReason::Tuned,
-                    "{id:?} {precision:?}: predicted {}x{} tile was substituted ({:?})",
-                    p.mwi(),
-                    p.nwi(),
-                    d.reason
+                let (mwi, nwi) = (pred.params.mwi(), pred.params.nwi());
+                assert!(
+                    (1..=REGISTER_TILE_MAX).contains(&mwi)
+                        && (1..=REGISTER_TILE_MAX).contains(&nwi)
+                        && nwi % lanes == 0,
+                    "{id:?} {precision:?}: predicted {mwi}x{nwi} tile is outside the \
+                     register budget or not aligned to {lanes} lanes"
                 );
             }
         }

@@ -79,6 +79,31 @@ fn permutation_bufs() -> Vec<BufData> {
     ]
 }
 
+/// Both groups read `y[1]`; group 1 then writes it.
+const READ_THEN_WRITE: &str = r"__kernel void k(__global double* y, __global double* z) {
+    int g = get_group_id(0);
+    double x = y[1];
+    z[g] = x;
+    if (g == 1) { y[1] = x + 1.0; }
+}";
+
+/// Both groups read `y[1]`; group 0 then writes it.
+const READ_THEN_WRITE_MIRROR: &str = r"__kernel void k(__global double* y, __global double* z) {
+    int g = get_group_id(0);
+    double x = y[1];
+    z[g] = x;
+    if (g == 0) { y[1] = x + 1.0; }
+}";
+
+/// Both groups read `y[1]` and nobody writes it; group 1 writes a cell
+/// no other group touches, so `y` stays tracked.
+const READS_FROM_TWO_GROUPS: &str = r"__kernel void k(__global double* y, __global double* z) {
+    int g = get_group_id(0);
+    double x = y[1];
+    z[g] = x;
+    if (g == 1) { y[2] = x + 1.0; }
+}";
+
 fn cases() -> Vec<Case> {
     vec![
         Case {
@@ -119,6 +144,31 @@ fn cases() -> Vec<Case> {
             twin_bufs: None,
             race: Race::Global,
             read_only: &[false],
+        },
+        Case {
+            // Group 1's own read of y[1] used to overwrite group 0's
+            // reader mark, so its write passed whenever group 0 read
+            // first.
+            what: "a group that reads and then writes a cell another group read",
+            racy: READ_THEN_WRITE,
+            twin: READS_FROM_TWO_GROUPS,
+            nd: NdRange::d1(2, 1),
+            args: &[Arg::Buf(0), Arg::Buf(1)],
+            bufs: || two_f64s(4),
+            twin_bufs: None,
+            race: Race::Global,
+            read_only: &[false, false],
+        },
+        Case {
+            what: "the same race with the groups' roles swapped",
+            racy: READ_THEN_WRITE_MIRROR,
+            twin: READS_FROM_TWO_GROUPS,
+            nd: NdRange::d1(2, 1),
+            args: &[Arg::Buf(0), Arg::Buf(1)],
+            bufs: || two_f64s(4),
+            twin_bufs: None,
+            race: Race::Global,
+            read_only: &[false, false],
         },
         Case {
             what: "store through a data-dependent index two groups share",
@@ -292,6 +342,40 @@ fn race_free_twins_agree_on_both_engines() {
         assert_eq!(cs, rs, "{}: DynStats diverged", c.what);
         for (i, (x, y)) in cb.iter().zip(&rb).enumerate() {
             assert_eq!(bits(x), bits(y), "{}: buffer {i} not bit-identical", c.what);
+        }
+    }
+}
+
+/// A cell two groups read and one of them then writes is a race in every
+/// schedule: the parallel engines run the two groups in either order
+/// from launch to launch, and each launch must fail, naming two distinct
+/// groups; the reads-only twin must pass every time.
+#[test]
+fn read_then_write_races_fail_in_every_schedule() {
+    for opts in [ExecOptions::default(), ExecOptions::reference()] {
+        for src in [
+            READ_THEN_WRITE,
+            READ_THEN_WRITE_MIRROR,
+            READS_FROM_TWO_GROUPS,
+        ] {
+            let prog = Program::compile(src).expect("compiles");
+            let kernel = prog.kernel("k").expect("kernel present");
+            for launch in 0..64 {
+                let mut bufs = two_f64s(4);
+                let got = kernel.launch(
+                    NdRange::d1(2, 1),
+                    &[Arg::Buf(0), Arg::Buf(1)],
+                    &mut bufs,
+                    &opts,
+                );
+                match (src == READS_FROM_TWO_GROUPS, got) {
+                    (true, Ok(_)) => {}
+                    (false, Err(RuntimeError::GlobalRace { group, other, .. })) => {
+                        assert_ne!(group, other, "launch {launch}: {src}");
+                    }
+                    (_, got) => panic!("launch {launch}: {got:?}\n{src}"),
+                }
+            }
         }
     }
 }

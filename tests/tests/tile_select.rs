@@ -1,25 +1,25 @@
-//! Property tests for the SIMD-width-aware register-tile selector.
+//! Property tests for the host microkernel's register tile.
 //!
-//! The selector replaced a silent clamp into `1..=TILE_MAX` in the fast
-//! host path: a tuned 32×8 blocking executed as 16×8 with no trace in
-//! the run record. These tests pin the replacement's contract from three
-//! sides: (1) every decision the selector can make is structurally valid
-//! and lane-aligned, (2) whatever tile it picks, the microkernel stays
-//! bit-for-bit identical to the reference executor across all nine
-//! layout pairs, and (3) an oversize tuned blocking routed through the
-//! full routine is *reported* as substituted — and still exact.
+//! The tile the fast host path runs is a function of the precision and
+//! of the build: the emitted vector width and register count. The tuned
+//! blocking is recorded next to it, never executed. These tests pin that
+//! contract from three sides: (1) every decision is structurally valid,
+//! lane-aligned and within the register budget, and reports a
+//! substitution exactly when the tile differs from the tuned blocking,
+//! (2) whatever the tuned layouts, the fast engine stays bit-for-bit
+//! identical to the reference executor across all nine layout pairs, and
+//! (3) an oversize tuned blocking routed through the full routine is
+//! *reported* as substituted — and still exact.
 
-use clgemm::executor::{run_native, run_native_fast, Tile, TILE_MAX};
 use clgemm::params::{small_test_params, KernelParams};
 use clgemm::routine::{GemmOptions, TunedGemm};
-use clgemm::tile::{TileReason, TileSelector};
-use clgemm_blas::layout::{BlockLayout, PackedDims};
+use clgemm::tile::{lanes, microkernel_tile, TileDecision, VECTOR_REGISTERS};
+use clgemm_blas::layout::BlockLayout;
 use clgemm_blas::matrix::{Matrix, StorageOrder};
 use clgemm_blas::scalar::Precision;
 use clgemm_blas::workspace::Workspace;
 use clgemm_blas::GemmType;
 use clgemm_device::DeviceId;
-use clgemm_shim::simd::SimdLevel;
 
 /// A tuned-blocking grid covering aligned, misaligned and oversize
 /// shapes (the paper's device blockings all land somewhere in here).
@@ -36,118 +36,97 @@ fn tuned_grid() -> Vec<(usize, usize)> {
 
 #[test]
 fn every_decision_is_valid_and_lane_aligned() {
-    for level in SimdLevel::ALL {
-        let sel = TileSelector::for_level(level);
-        for precision in [Precision::F32, Precision::F64] {
-            let lanes = sel.lanes(precision);
-            for tuned in tuned_grid() {
-                for (m, n) in [(1usize, 1usize), (16, 16), (1024, 1024)] {
-                    let d = sel.select(precision, tuned, m, n);
-                    assert_eq!(d.tuned, tuned);
-                    assert_eq!(d.lanes, lanes);
-                    assert!(
-                        d.tile.mr() >= 1 && d.tile.mr() <= TILE_MAX,
-                        "{level}/{precision} {tuned:?}: mr {} out of range",
-                        d.tile.mr()
-                    );
-                    assert!(
-                        d.tile.nr() >= 1 && d.tile.nr() <= TILE_MAX,
-                        "{level}/{precision} {tuned:?}: nr {} out of range",
-                        d.tile.nr()
-                    );
-                    let tuned_fits = Tile::new(tuned.0, tuned.1).is_some();
-                    let tuned_aligned = tuned_fits && tuned.1 % lanes == 0;
-                    match d.reason {
-                        TileReason::Tuned => {
-                            assert!(tuned_aligned);
-                            assert_eq!(d.tile.dims(), tuned, "verbatim means verbatim");
-                            assert!(!d.substituted());
-                        }
-                        TileReason::LaneRealigned => {
-                            assert!(tuned_fits && !tuned_aligned);
-                            assert!(d.substituted());
-                            assert_eq!(d.tile.nr() % lanes, 0);
-                        }
-                        TileReason::Oversize => {
-                            assert!(!tuned_fits);
-                            assert!(d.substituted());
-                            assert_eq!(d.tile.nr() % lanes, 0);
-                        }
-                        TileReason::SmallShape => {
-                            assert!(
-                                m.max(n) <= clgemm::tile::SMALL_SHAPE_MAX,
-                                "small sweep only applies to small problems"
-                            );
-                            assert!(d.substituted());
-                            assert_ne!(d.tile.dims(), tuned, "else it would report Tuned");
-                            assert_eq!(d.tile.nr() % lanes, 0);
-                        }
-                    }
-                }
-            }
+    for precision in [Precision::F32, Precision::F64] {
+        let lanes = lanes(precision);
+        let tile = microkernel_tile(precision);
+        for tuned in tuned_grid() {
+            let d = TileDecision::new(precision, tuned);
+            assert_eq!(d.tuned, tuned);
+            assert_eq!(d.lanes, lanes);
+            assert_eq!(
+                d.tile, tile,
+                "{precision}: the tile ignores the tuned blocking"
+            );
+            assert!(d.tile.mr() >= 1, "{precision} {tuned:?}: empty tile");
+            assert_eq!(d.tile.nr() % lanes, 0, "{precision} {tuned:?}: {}", d.tile);
+            assert!(
+                d.tile.registers(lanes) <= VECTOR_REGISTERS,
+                "{precision} {tuned:?}: {} spills",
+                d.tile
+            );
+            assert_eq!(d.substituted(), d.tile.dims() != tuned);
         }
     }
 }
 
-fn packed_pattern(layout: BlockLayout, dims: PackedDims, k: usize, seed: usize) -> Vec<f64> {
-    let mut buf = vec![0.0f64; dims.len()];
-    for p in 0..k {
-        for w in 0..dims.width {
-            let v = ((p * 29 + w * 11 + seed * 17) % 19) as f64 - 9.0;
-            buf[layout.offset(p, w, dims)] = v * 0.41;
-        }
-    }
-    buf
+/// Valid test parameters with the given tuned layouts.
+fn with_layouts(precision: Precision, la: BlockLayout, lb: BlockLayout) -> KernelParams {
+    let mut p = small_test_params(precision);
+    p.layout_a = la;
+    p.layout_b = lb;
+    p
 }
 
 #[test]
 fn selected_tiles_stay_bit_identical_across_all_layout_pairs() {
-    // Whatever tile each SIMD tier's selector picks, the fast executor
-    // must match the reference exactly — tile substitution is a pure
-    // performance decision, never a numerical one.
+    // Whatever the tuned layouts, the fast engine (panel packing, the
+    // build's tile, in-place update) must match the reference engine
+    // (tuned layouts, `run_native`, staged C) exactly — the tile is a
+    // pure performance decision, never a numerical one. 24×16×11 pads
+    // the depth and leaves ragged tiles in both directions.
     let (m, n, k) = (24usize, 16usize, 11usize);
-    let da = PackedDims::new(16, 24, 8, 4).unwrap();
-    let db = PackedDims::new(16, 16, 8, 4).unwrap();
+    let a = Matrix::<f64>::from_fn(m, k, StorageOrder::ColMajor, |i, p| {
+        ((p * 29 + i * 11 + 3 * 17) % 19) as f64 * 0.41 - 3.7
+    });
+    let b = Matrix::<f64>::from_fn(k, n, StorageOrder::RowMajor, |p, j| {
+        ((p * 29 + j * 11 + 5 * 17) % 19) as f64 * 0.41 - 3.7
+    });
+    let c0 = Matrix::<f64>::from_fn(m, n, StorageOrder::ColMajor, |i, j| {
+        ((i * n + j) % 13) as f64 - 6.0
+    });
     for la in BlockLayout::ALL {
         for lb in BlockLayout::ALL {
-            let pa = packed_pattern(la, da, k, 3);
-            let pb = packed_pattern(lb, db, k, 5);
-            let c0: Vec<f64> = (0..m * n).map(|i| (i % 13) as f64 - 6.0).collect();
+            let tg = TunedGemm::new(
+                DeviceId::Tahiti.spec(),
+                with_layouts(Precision::F64, la, lb),
+                with_layouts(Precision::F32, la, lb),
+            );
             let mut c_ref = c0.clone();
-            run_native(m, n, k, 1.5, &pa, da, la, &pb, db, lb, -0.25, &mut c_ref);
-            for level in SimdLevel::ALL {
-                let sel = TileSelector::for_level(level);
-                for tuned in [(4usize, 4usize), (6, 2), (32, 8), (3, 5)] {
-                    let d = sel.select(Precision::F64, tuned, m, n);
-                    let mut c_fast = c0.clone();
-                    run_native_fast(
-                        m,
-                        n,
-                        k,
-                        1.5,
-                        &pa,
-                        da,
-                        la,
-                        &pb,
-                        db,
-                        lb,
-                        -0.25,
-                        &mut c_fast,
-                        d.tile,
-                    );
-                    assert_eq!(
-                        c_fast, c_ref,
-                        "{la}/{lb} {level} tuned {tuned:?} -> {}",
-                        d.tile
-                    );
-                }
-            }
+            tg.gemm_with(
+                GemmType::NN,
+                1.5,
+                &a,
+                &b,
+                -0.25,
+                &mut c_ref,
+                &mut Workspace::new(),
+                &GemmOptions::reference(),
+            );
+            let mut c_fast = c0.clone();
+            let run = tg.gemm_with(
+                GemmType::NN,
+                1.5,
+                &a,
+                &b,
+                -0.25,
+                &mut c_fast,
+                &mut Workspace::new(),
+                &GemmOptions::default(),
+            );
+            let d = run.tile.expect("fast run reports its tile");
+            assert_eq!(d.tile, microkernel_tile(Precision::F64));
+            assert_eq!(
+                c_fast.as_slice(),
+                c_ref.as_slice(),
+                "{la}/{lb} tile {}",
+                d.tile
+            );
         }
     }
 }
 
-/// Valid params whose work-item blocking is 32×8 — exactly the shape the
-/// old code silently clamped to 16×8.
+/// Valid params whose work-item blocking is 32×8 — a shape no register
+/// file holds.
 fn oversize_params(precision: Precision) -> KernelParams {
     let mut p = small_test_params(precision);
     p.mwg = 64;
@@ -187,9 +166,8 @@ fn oversize_tuned_blocking_is_reported_not_silently_clamped() {
     // The substitution is visible in the run record...
     let d = run.tile.expect("fast run must report its tile decision");
     assert_eq!(d.tuned, (32, 8));
-    assert_eq!(d.reason, TileReason::Oversize);
     assert!(d.substituted(), "a 32-row tile cannot run verbatim");
-    assert!(d.tile.mr() <= TILE_MAX && d.tile.nr() <= TILE_MAX);
+    assert!(d.tile.registers(d.lanes) <= VECTOR_REGISTERS);
 
     // ...and in the prediction output, identically.
     assert_eq!(
