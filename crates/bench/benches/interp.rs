@@ -9,19 +9,21 @@
 //! `BENCH_interp.json` at the repo root with per-case seconds and
 //! compiled-vs-reference speedups.
 //!
-//! It also records `Program::compile` seconds (best of 3) for the
-//! kernels perfbench's opencl-run workload builds: the twelve Table II
-//! winners and the direct kernel for its four GEMM-type jobs, as
-//! `interp/compile_*` rows.
+//! It also records, for the kernels perfbench's opencl-run workload
+//! builds (the twelve Table II winners at that workload's edges and the
+//! direct kernel for its four GEMM-type jobs at 249³),
+//! `Program::compile` seconds (best of 3) as `interp/compile_*` rows
+//! and compiled-engine launch seconds with race detection on, as
+//! opencl-run launches them, as `interp/opencl_*` rows.
 //!
 //! Smoke mode (`CLGEMM_BENCH_SMOKE=1`, used by CI) times one launch per
 //! engine and **exits non-zero** unless the compiled engine is at least
 //! 10× faster than the reference on the large BA f32 case, and beats
-//! the reference on the direct f32 case by at least the speed-up of the
-//! fast VM it replaced there; it also exits non-zero if any Table II
-//! winner takes longer than 50 ms to compile. The flagship case only
-//! runs when `CLGEMM_INTERP_FLAGSHIP=1` (it interprets a full 1024³
-//! GEMM on the reference engine).
+//! the reference on the direct f32 and f64 cases by at least the
+//! speed-up of the fast VM it replaced there; it also exits non-zero if
+//! any Table II winner takes longer than 50 ms to compile. The flagship
+//! case only runs when `CLGEMM_INTERP_FLAGSHIP=1` (it interprets a full
+//! 1024³ GEMM on the reference engine).
 
 use clgemm::codegen::{generate, KERNEL_NAME};
 use clgemm::direct::{generate_direct, DirectParams, DIRECT_KERNEL_NAME};
@@ -41,13 +43,14 @@ use std::time::Instant;
 /// interpretation speed.
 const COMPILED_VS_REFERENCE_FLOOR: f64 = 10.0;
 
-/// The fast VM's speed-up over the reference on the direct f32 case
-/// (NN, 249³, race detection off), measured on a 2-vCPU AVX-512 host
-/// just before the fast VM was deleted in favour of masked compiled
-/// execution: best of two runs each, 9.5× (8.3× for f64). The compiled
-/// engine must beat the reference by at least this much there, so the
-/// path that replaced the fast VM is never slower than it was.
-const FAST_VM_DIRECT_SPEEDUP: f64 = 9.5;
+/// The fast VM's speed-up over the reference on the direct cases (NN,
+/// 249³, race detection off), measured on a 2-vCPU AVX-512 host just
+/// before the fast VM was deleted in favour of masked compiled
+/// execution: best of two runs each, 9.5× for f32 and 8.3× for f64. The
+/// compiled engine must beat the reference by at least this much there,
+/// so the path that replaced the fast VM is never slower than it was.
+const FAST_VM_DIRECT_SPEEDUP: [(Precision, f64); 2] =
+    [(Precision::F32, 9.5), (Precision::F64, 8.3)];
 
 /// Edge of the direct cases: a multiple of nothing the kernel blocks by.
 const DIRECT_EDGE: usize = 249;
@@ -89,6 +92,32 @@ fn fill(len: usize, prec: Precision, salt: usize) -> BufData {
     }
 }
 
+/// The smallest multiple of the winner's block LCM at or above 256: the
+/// edge opencl-run launches a Table II winner at.
+fn table_edge(p: &KernelParams) -> usize {
+    256usize.div_ceil(p.lcm_block()) * p.lcm_block()
+}
+
+/// `(row, case)` for every launch opencl-run makes, each at its edge.
+fn opencl_cases() -> Vec<(String, Case)> {
+    let mut cases = Vec::new();
+    for e in all_winners() {
+        let n = table_edge(&e.params);
+        let name = format!(
+            "interp/opencl_table2_{:?}_{}_compiled",
+            e.device,
+            prec_tag(e.params.precision)
+        )
+        .to_lowercase();
+        cases.push((name, build_case(&e.params, n, n, n)));
+    }
+    for (ty, precision) in DIRECT_JOBS {
+        let name = format!("interp/opencl_direct_{ty}_{}_compiled", prec_tag(precision));
+        cases.push((name.to_lowercase(), direct_case(ty, precision, DIRECT_EDGE)));
+    }
+    cases
+}
+
 fn build_case(p: &KernelParams, m: usize, n: usize, k: usize) -> Case {
     let gen = generate(p).expect("generate");
     let prog = Program::compile(&gen.source).expect("compile");
@@ -127,8 +156,8 @@ fn build_case(p: &KernelParams, m: usize, n: usize, k: usize) -> Case {
 }
 
 /// The copy-free direct kernel on tight column-major `e × e` operands.
-fn direct_case(precision: Precision, e: usize) -> Case {
-    let p = DirectParams::default_for(GemmType::NN, precision);
+fn direct_case(ty: GemmType, precision: Precision, e: usize) -> Case {
+    let p = DirectParams::default_for(ty, precision);
     let gen = generate_direct(&p).expect("generate direct");
     let prog = Program::compile(&gen.source).expect("compile");
     let mut args = vec![Arg::Buf(0), Arg::Buf(1), Arg::Buf(2)];
@@ -151,18 +180,24 @@ fn direct_case(precision: Precision, e: usize) -> Case {
 }
 
 fn launch(case: &mut Case, engine: Engine) -> u64 {
-    let opts = ExecOptions {
-        engine,
-        // Race detection is a validation tool (on by default in tests,
-        // where the engines suite compares both engines under it);
-        // this bench times the engines themselves, so it is off — for
-        // every engine alike.
-        detect_races: false,
-        ..Default::default()
-    };
+    launch_with(
+        case,
+        &ExecOptions {
+            engine,
+            // Race detection is a validation tool (on by default in
+            // tests, where the engines suite compares both engines under
+            // it); the engine-against-engine rows time the engines
+            // themselves, so it is off — for every engine alike.
+            detect_races: false,
+            ..Default::default()
+        },
+    )
+}
+
+fn launch_with(case: &mut Case, opts: &ExecOptions) -> u64 {
     let kernel = case.prog.kernel(case.name).expect("kernel");
     let stats = kernel
-        .launch(case.nd, &case.args, &mut case.bufs, &opts)
+        .launch(case.nd, &case.args, &mut case.bufs, opts)
         .expect("launch");
     stats.instrs
 }
@@ -271,21 +306,24 @@ fn main() {
             fmt_secs(reference)
         );
         let e = DIRECT_EDGE;
-        let mut case = direct_case(Precision::F32, e);
-        let compiled = time_once(&mut case, Engine::Compiled);
-        let reference = time_once(&mut case, Engine::Reference);
-        println!(
-            "interp smoke gate (direct_f32 {e}^3): compiled {} / reference {} ({:.2}x, fast VM was {FAST_VM_DIRECT_SPEEDUP}x)",
-            fmt_secs(compiled),
-            fmt_secs(reference),
-            reference / compiled
-        );
-        assert!(
-            reference / compiled >= FAST_VM_DIRECT_SPEEDUP,
-            "compiled engine ({}) below the fast VM's {FAST_VM_DIRECT_SPEEDUP}x over reference ({}) on the direct kernel",
-            fmt_secs(compiled),
-            fmt_secs(reference)
-        );
+        for (precision, fast_vm) in FAST_VM_DIRECT_SPEEDUP {
+            let tag = prec_tag(precision);
+            let mut case = direct_case(GemmType::NN, precision, e);
+            let compiled = time_once(&mut case, Engine::Compiled);
+            let reference = time_once(&mut case, Engine::Reference);
+            println!(
+                "interp smoke gate (direct_{tag} {e}^3): compiled {} / reference {} ({:.2}x, fast VM was {fast_vm}x)",
+                fmt_secs(compiled),
+                fmt_secs(reference),
+                reference / compiled
+            );
+            assert!(
+                reference / compiled >= fast_vm,
+                "compiled engine ({}) below the fast VM's {fast_vm}x over reference ({}) on the direct {tag} kernel",
+                fmt_secs(compiled),
+                fmt_secs(reference)
+            );
+        }
         let slow: Vec<String> = compile_rows()
             .into_iter()
             .filter(|&(_, secs, table2)| table2 && secs > TABLE_II_COMPILE_LIMIT_S)
@@ -323,7 +361,7 @@ fn main() {
     }
     // The direct kernel at a ragged edge: its edge work-groups diverge.
     for precision in [Precision::F32, Precision::F64] {
-        let mut case = direct_case(precision, DIRECT_EDGE);
+        let mut case = direct_case(GemmType::NN, precision, DIRECT_EDGE);
         for engine in ENGINES {
             let name = format!(
                 "interp/direct_{}_{}",
@@ -332,6 +370,12 @@ fn main() {
             );
             h.bench(&name, || launch(&mut case, engine));
         }
+    }
+    // opencl-run's launches, race detection on as that workload runs
+    // them.
+    let races_on = ExecOptions::default();
+    for (name, mut case) in opencl_cases() {
+        h.bench(&name, || launch_with(&mut case, &races_on));
     }
     rows.extend(h.results().iter().cloned());
     rows.extend(

@@ -88,44 +88,6 @@ impl BlockLayout {
             }
         }
     }
-
-    /// The distance in elements between `(p, w)` and `(p+1, w)` when both
-    /// lie inside the same block. This is the stride a kernel work-item
-    /// walking the depth dimension observes; the timing model uses it to
-    /// judge spatial locality.
-    #[must_use]
-    pub fn depth_stride(self, dims: PackedDims) -> usize {
-        match self {
-            BlockLayout::RowMajor => dims.width,
-            BlockLayout::Cbl | BlockLayout::Rbl => dims.wwg,
-        }
-    }
-
-    /// How many consecutive depth positions share the [`Self::depth_stride`]
-    /// from an aligned start: walking `p` from a multiple of this run
-    /// length, `offset(p + d, w) == offset(p, w) + d · depth_stride` for
-    /// all `d` inside the run, so a kernel walking the depth can hoist
-    /// its offset arithmetic out of the FMA loop.
-    #[must_use]
-    pub fn depth_run(self, dims: PackedDims) -> usize {
-        match self {
-            // Row-major and CBL are affine in `p` over the whole depth.
-            BlockLayout::RowMajor | BlockLayout::Cbl => dims.k.max(1),
-            // RBL jumps at every Kwg boundary.
-            BlockLayout::Rbl => dims.kwg,
-        }
-    }
-
-    /// How many depth positions starting at `p0` remain affine, i.e. the
-    /// distance to the end of the current [`Self::depth_run`]. A kernel
-    /// walking `p0`, `p0 + run_remaining(p0)`, … visits exactly the run
-    /// boundaries where base offsets must be recomputed.
-    #[inline]
-    #[must_use]
-    pub fn run_remaining(self, p0: usize, dims: PackedDims) -> usize {
-        let run = self.depth_run(dims);
-        run - p0 % run
-    }
 }
 
 impl std::fmt::Display for BlockLayout {
@@ -271,49 +233,6 @@ mod tests {
             for wi in 0..d.wwg {
                 let off = BlockLayout::Rbl.offset(rb * d.kwg + pi, cb * d.wwg + wi, d);
                 assert_eq!(off, base + pi * d.wwg + wi);
-            }
-        }
-    }
-
-    #[test]
-    fn depth_stride_reflects_spatial_locality() {
-        let d = dims(16, 256, 32, 8);
-        assert_eq!(BlockLayout::RowMajor.depth_stride(d), 256);
-        assert_eq!(BlockLayout::Cbl.depth_stride(d), 32);
-        assert_eq!(BlockLayout::Rbl.depth_stride(d), 32);
-    }
-
-    #[test]
-    fn depth_run_makes_offsets_affine() {
-        let d = dims(12, 8, 4, 3);
-        for layout in BlockLayout::ALL {
-            let run = layout.depth_run(d);
-            let stride = layout.depth_stride(d);
-            for w in 0..d.width {
-                for p0 in (0..d.k).step_by(run) {
-                    let base = layout.offset(p0, w, d);
-                    for di in 0..run.min(d.k - p0) {
-                        assert_eq!(
-                            layout.offset(p0 + di, w, d),
-                            base + di * stride,
-                            "{layout:?} p0={p0} d={di} w={w}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn run_remaining_counts_to_the_next_boundary() {
-        let d = dims(12, 8, 4, 3);
-        for layout in BlockLayout::ALL {
-            let run = layout.depth_run(d);
-            for p0 in 0..d.k {
-                let rem = layout.run_remaining(p0, d);
-                assert!(rem >= 1 && rem <= run, "{layout:?} p0={p0} rem={rem}");
-                // The next boundary is a multiple of the run length.
-                assert_eq!((p0 + rem) % run, 0, "{layout:?} p0={p0}");
             }
         }
     }

@@ -18,10 +18,11 @@
 //! work-items execute memory ops (with their bounds checks and
 //! race-table updates), integer `/` and `%`, clamps and block-argument
 //! copies. Every other op runs on all work-items: slot allocation never
-//! lets an op on one side overwrite a value live into the other side
-//! (see `trace::shared_slots`), so the waiting work-items' values
-//! survive, and a retired or waiting work-item's other cells may hold
-//! anything.
+//! lets an op on one side overwrite a value live into the other side,
+//! and `passes::forward` never makes a value written inside a divergent
+//! region stand in for a parameter read after it, so the waiting
+//! work-items' values survive, and a retired or waiting work-item's
+//! other cells may hold anything.
 //!
 //! Parity with the reference interpreter:
 //! - value arithmetic follows `vm::bin_op`/`un_op`/`convert` exactly
@@ -525,6 +526,25 @@ fn run_group(
                     e.pc = to;
                     continue;
                 };
+                if e.lanes.len() == nwi {
+                    // Under a full mask, count before sorting work-items
+                    // into lane lists: in every interior group of a
+                    // bounds-guarded kernel they all agree.
+                    let set = arena.ib[cond..cond + nwi]
+                        .iter()
+                        .filter(|&&x| x != 0)
+                        .count();
+                    if set == 0 || set == nwi {
+                        let (to, copies) = if set == nwi {
+                            (t, t_copies)
+                        } else {
+                            (f, f_copies)
+                        };
+                        run_ops(ctx, arena, copies, phase, &e.lanes)?;
+                        e.pc = to;
+                        continue;
+                    }
+                }
                 let (mut tl, mut fl) = (arena.lanes(), arena.lanes());
                 for &l in &e.lanes {
                     if arena.ib[cond + l as usize] != 0 {
@@ -725,7 +745,7 @@ mod vi {
 /// loading a whole chunk before storing it preserves the scalar loop's
 /// semantics. On x86 the per-pair lane broadcast is a single
 /// `moveldup`/`movehdup`, and `fmadd` rounds once exactly like
-/// `f32::mul_add`.
+/// `f32::mul_add`. The reps the chunks leave run [`mad_lane_w`].
 fn madbf_w2(fb: &mut [f32], [d, a, b, c]: [usize; 4], lane: usize, n: usize) {
     assert!(lane < 2 && d.max(a).max(b).max(c) + 2 * n <= fb.len());
     #[cfg(all(
@@ -765,16 +785,150 @@ fn madbf_w2(fb: &mut [f32], [d, a, b, c]: [usize; 4], lane: usize, n: usize) {
         target_feature = "fma"
     )))]
     let done = 0;
-    for r in done..n {
-        for k in 0..2 {
-            // SAFETY: `r < n` and the assert above bounds every range.
-            unsafe {
-                let x = rd(fb, a + 2 * r + lane);
-                wr(
-                    fb,
-                    d + 2 * r + k,
-                    x.mul_add(rd(fb, b + 2 * r + k), rd(fb, c + 2 * r + k)),
-                );
+    let at = 2 * done;
+    mad_lane_w::<f32, 2>(fb, [d + at, a + at, b + at, c + at], 2, lane, n - done);
+}
+
+/// The float banks' fused multiply-add, for the shape helpers generic
+/// over both.
+trait Fma: Copy {
+    fn fma(self, b: Self, c: Self) -> Self;
+}
+
+impl Fma for f32 {
+    #[inline(always)]
+    fn fma(self, b: f32, c: f32) -> f32 {
+        self.mul_add(b, c)
+    }
+}
+
+impl Fma for f64 {
+    #[inline(always)]
+    fn fma(self, b: f64, c: f64) -> f64 {
+        self.mul_add(b, c)
+    }
+}
+
+/// Lane-broadcast mad (`MadBF`, `MadBD`): per rep `r`,
+/// `d[r*w + k] = a[r*ws + lane] * b[r*w + k] + c[r*w + k]`. The
+/// generator's widths run a loop whose width is a compile-time
+/// constant, one vector fma per rep; any other width runs the scalar
+/// loop.
+fn mad_lane<T: Fma>(bank: &mut [T], dabc: [usize; 4], ws: usize, lane: usize, w: usize, n: usize) {
+    match w {
+        2 => mad_lane_w::<T, 2>(bank, dabc, ws, lane, n),
+        4 => mad_lane_w::<T, 4>(bank, dabc, ws, lane, n),
+        8 => mad_lane_w::<T, 8>(bank, dabc, ws, lane, n),
+        16 => mad_lane_w::<T, 16>(bank, dabc, ws, lane, n),
+        _ => mad_lane_any(bank, dabc, ws, lane, w, n),
+    }
+}
+
+/// [`mad_lane`] with `W` lanes. A rep's `W` results are all computed
+/// before any is stored; slot ranges are pairwise equal or disjoint, so
+/// that is the scalar loop's result.
+fn mad_lane_w<T: Fma, const W: usize>(
+    bank: &mut [T],
+    [d, a, b, c]: [usize; 4],
+    ws: usize,
+    lane: usize,
+    n: usize,
+) {
+    assert!(lane < ws && a + n * ws <= bank.len());
+    assert!(d.max(b).max(c) + n * W <= bank.len());
+    for r in 0..n {
+        // SAFETY: `r < n`, `lane < ws` and `k < W`, and the asserts
+        // above bound all four ranges.
+        unsafe {
+            let x = rd(bank, a + r * ws + lane);
+            let mut out = [x; W];
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = x.fma(rd(bank, b + r * W + k), rd(bank, c + r * W + k));
+            }
+            for (k, &o) in out.iter().enumerate() {
+                wr(bank, d + r * W + k, o);
+            }
+        }
+    }
+}
+
+/// [`mad_lane`]'s scalar loop, for any width.
+fn mad_lane_any<T: Fma>(
+    bank: &mut [T],
+    [d, a, b, c]: [usize; 4],
+    ws: usize,
+    lane: usize,
+    w: usize,
+    n: usize,
+) {
+    assert!(lane < ws && a + n * ws <= bank.len());
+    assert!(d.max(b).max(c) + n * w <= bank.len());
+    for r in 0..n {
+        // SAFETY: `r < n`, `lane < ws` and `k < w`, and the asserts
+        // above bound all four ranges.
+        unsafe {
+            let x = rd(bank, a + r * ws + lane);
+            for k in 0..w {
+                let (y, z) = (rd(bank, b + r * w + k), rd(bank, c + r * w + k));
+                wr(bank, d + r * w + k, x.fma(y, z));
+            }
+        }
+    }
+}
+
+/// `d[r*w + k] = bank[a + k]` for `n` reps: a uniform value's `w` lanes
+/// repeated for every work-item. A scalar, the usual case, is a fill.
+fn splat<T: Copy>(bank: &mut [T], d: usize, a: usize, w: usize, n: usize) {
+    if w == 1 {
+        let x = bank[a];
+        bank[d..d + n].fill(x);
+        return;
+    }
+    assert!(a + w <= bank.len() && d + n * w <= bank.len());
+    for r in 0..n {
+        for k in 0..w {
+            // SAFETY: `r < n` and `k < w`, and the assert above bounds
+            // both ranges.
+            unsafe { wr(bank, d + r * w + k, rd(bank, a + k)) };
+        }
+    }
+}
+
+/// `d[r*w + k] = bank[a + r]` for `n` reps: each work-item's scalar
+/// repeated over its vector's `w` lanes (`Broadcast`), with the width a
+/// compile-time constant for the generator's widths.
+fn bcast<T: Copy>(bank: &mut [T], d: usize, a: usize, w: usize, n: usize) {
+    match w {
+        2 => bcast_w::<T, 2>(bank, d, a, n),
+        4 => bcast_w::<T, 4>(bank, d, a, n),
+        8 => bcast_w::<T, 8>(bank, d, a, n),
+        16 => bcast_w::<T, 16>(bank, d, a, n),
+        _ => bcast_any(bank, d, a, w, n),
+    }
+}
+
+/// [`bcast`]'s scalar loop, for any width.
+fn bcast_any<T: Copy>(bank: &mut [T], d: usize, a: usize, w: usize, n: usize) {
+    assert!(a + n <= bank.len() && d + n * w <= bank.len());
+    for r in 0..n {
+        for k in 0..w {
+            // SAFETY: `r < n` and `k < w`, and the assert above bounds
+            // both ranges.
+            unsafe { wr(bank, d + r * w + k, rd(bank, a + r)) };
+        }
+    }
+}
+
+/// [`bcast`] with `W` lanes.
+fn bcast_w<T: Copy, const W: usize>(bank: &mut [T], d: usize, a: usize, n: usize) {
+    assert!(a + n <= bank.len() && d + n * W <= bank.len());
+    for r in 0..n {
+        // SAFETY: `r < n` and `k < W`, and the assert above bounds both
+        // ranges.
+        unsafe {
+            let x = rd(bank, a + r);
+            for k in 0..W {
+                wr(bank, d + r * W + k, x);
             }
         }
     }
@@ -856,23 +1010,6 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
             }
         }};
     }
-    // `d[r*w + k] = f(src[at])` for every rep `r` and lane `k`, where
-    // every `at` stays below `extent`.
-    macro_rules! spread {
-        ($src:ident -> $dst:ident, $extent:expr, |$r:ident, $k:ident| $at:expr, |$x:ident| $e:expr) => {{
-            assert!($extent <= $src.len() && d + n * w <= $dst.len());
-            for $r in 0..n {
-                for $k in 0..w {
-                    // SAFETY: `at < extent` for `r < n`, `k < w`, and the
-                    // assert above bounds both ranges.
-                    unsafe {
-                        let $x = rd($src, $at);
-                        wr($dst, d + $r * w + $k, $e);
-                    }
-                }
-            }
-        }};
-    }
     // `d[j] = a[j] * b[j] + c[j]` with one rounding.
     macro_rules! mad {
         ($bank:ident) => {{
@@ -882,26 +1019,6 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
                 unsafe {
                     let x = rd($bank, a + j).mul_add(rd($bank, b + j), rd($bank, c + j));
                     wr($bank, d + j, x);
-                }
-            }
-        }};
-    }
-    // Lane-broadcast mad: `d[r*w + k] = a[r*ws + lane] * b[..] + c[..]`.
-    macro_rules! mad_lane {
-        ($bank:ident) => {{
-            let ws = op.buf as usize;
-            let lane = op.aux as usize;
-            assert!(lane < ws && a + n * ws <= $bank.len());
-            assert!(d.max(b).max(c) + n * w <= $bank.len());
-            for r in 0..n {
-                // SAFETY: `r < n`, `lane < ws`, and the asserts above
-                // bound all four ranges.
-                unsafe {
-                    let x = rd($bank, a + r * ws + lane);
-                    for k in 0..w {
-                        let (y, z) = (rd($bank, b + r * w + k), rd($bank, c + r * w + k));
-                        wr($bank, d + r * w + k, x.mul_add(y, z));
-                    }
                 }
             }
         }};
@@ -924,10 +1041,9 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
         PK::CpyI => ib.copy_within(a..a + n, d),
         PK::CpyF => fb.copy_within(a..a + n, d),
         PK::CpyD => db.copy_within(a..a + n, d),
-        // A uniform value (all `w` lanes) repeated for every work-item.
-        PK::SplatI => spread!(ib -> ib, a + w, |r, k| a + k, |x| x),
-        PK::SplatF => spread!(fb -> fb, a + w, |r, k| a + k, |x| x),
-        PK::SplatD => spread!(db -> db, a + w, |r, k| a + k, |x| x),
+        PK::SplatI => splat(ib, d, a, w, n),
+        PK::SplatF => splat(fb, d, a, w, n),
+        PK::SplatD => splat(db, d, a, w, n),
         PK::AddI => {
             #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
             vi::add(ib, d, a, b, n);
@@ -992,7 +1108,7 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
         PK::NegF => un_ew!(fb -> fb, |x| -x),
         PK::MadF => mad!(fb),
         PK::MadBF if op.buf == 2 && w == 2 => madbf_w2(fb, [d, a, b, c], op.aux as usize, n),
-        PK::MadBF => mad_lane!(fb),
+        PK::MadBF => mad_lane(fb, [d, a, b, c], op.buf as usize, op.aux as usize, w, n),
         PK::CmpF => cmp_ew!(fb, f64::from),
         PK::AddD => bin_d!(|x, y| x + y),
         PK::SubD => bin_d!(|x, y| x - y),
@@ -1000,7 +1116,7 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
         PK::DivD => bin_d!(|x, y| x / y),
         PK::NegD => un_ew!(db -> db, |x| -x),
         PK::MadD => mad!(db),
-        PK::MadBD => mad_lane!(db),
+        PK::MadBD => mad_lane(db, [d, a, b, c], op.buf as usize, op.aux as usize, w, n),
         PK::CmpD => cmp_ew!(db, f64::from),
         PK::SelI => {
             for j in 0..n {
@@ -1038,10 +1154,22 @@ fn exec_op(ctx: &Ctx<'_>, arena: &mut CArena, op: &BOp, phase: u32) -> Result<()
         PK::D2F => un_ew!(db -> fb, |x| x as f32),
         PK::VF2D => un_ew!(fb -> db, |x| f64::from(x)),
         PK::VD2F => un_ew!(db -> fb, |x| x as f32),
-        PK::BcastF => spread!(fb -> fb, a + n, |r, k| a + r, |x| x),
-        PK::BcastD => spread!(db -> db, a + n, |r, k| a + r, |x| x),
+        PK::BcastF => bcast(fb, d, a, w, n),
+        PK::BcastD => bcast(db, d, a, w, n),
         // The reference broadcasts ints into a *double* vector.
-        PK::BcastID => spread!(ib -> db, a + n, |r, k| a + r, |x| x as f64),
+        PK::BcastID => {
+            assert!(a + n <= ib.len() && d + n * w <= db.len());
+            for r in 0..n {
+                // SAFETY: `r < n` and `k < w`, and the assert above bounds
+                // both ranges.
+                unsafe {
+                    let x = rd(ib, a + r) as f64;
+                    for k in 0..w {
+                        wr(db, d + r * w + k, x);
+                    }
+                }
+            }
+        }
         PK::BuildF => {
             for r in 0..n {
                 for (l, &p) in op.ex.iter().enumerate() {
@@ -1418,6 +1546,173 @@ fn cmp<T: PartialOrd>(code: u8, x: T, y: T) -> bool {
         3 => x >= y,
         4 => x == y,
         _ => x != y,
+    }
+}
+
+#[cfg(test)]
+mod shape_tests {
+    //! Each vector shape against its scalar loop, bit for bit.
+
+    use super::{bcast, bcast_any, mad_lane, mad_lane_any, madbf_w2, splat, Fma};
+
+    /// Cells a bank is filled with: a negative NaN with a payload, ±0,
+    /// subnormals of both signs, ±∞ and ordinary values. One NaN bit
+    /// pattern only: when NaNs with different bits meet in one fma,
+    /// which one comes out depends on the operand order the compiler
+    /// picks for the instruction (the multiplication commutes), so no
+    /// loop has a defined answer there.
+    trait Special: Fma + PartialEq + std::fmt::Debug {
+        const CELLS: [Self; 13];
+        fn bits(self) -> u64;
+    }
+
+    impl Special for f32 {
+        const CELLS: [f32; 13] = [
+            f32::from_bits(0xffc0_4567),
+            -3.0,
+            -0.0,
+            0.0,
+            f32::from_bits(0x0000_0123),
+            f32::from_bits(0x8040_0000),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -2.25,
+            3.0e38,
+            1.0e-38,
+            0.1,
+        ];
+        fn bits(self) -> u64 {
+            u64::from(self.to_bits())
+        }
+    }
+
+    impl Special for f64 {
+        const CELLS: [f64; 13] = [
+            f64::from_bits(0xfff8_0000_0000_4567),
+            -3.0,
+            -0.0,
+            0.0,
+            f64::from_bits(0x0000_0000_0000_0123),
+            f64::from_bits(0x8008_0000_0000_0000),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            1.0e308,
+            1.0e-308,
+            0.1,
+        ];
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    fn bank<T: Special>(len: usize) -> Vec<T> {
+        (0..len)
+            .map(|i| T::CELLS[(i * 7 + i / 13) % T::CELLS.len()])
+            .collect()
+    }
+
+    fn bits<T: Special>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// Work-item counts around the chunk sizes, a group of 64 among them.
+    const REPS: [usize; 7] = [1, 3, 4, 5, 7, 64, 65];
+
+    /// `[d, a, b, c]` layouts for `n` reps of `w` lanes read from
+    /// `ws`-lane sources, and the bank length they need: disjoint
+    /// ranges, then every aliasing slot allocation allows (`d == c`,
+    /// `d == b`, and with `ws == w` also `d == a` and `a == b`).
+    fn layouts(w: usize, ws: usize, n: usize) -> (Vec<[usize; 4]>, usize) {
+        let a = 0;
+        let b = a + n * ws + 1;
+        let c = b + n * w + 3;
+        let d = c + n * w + 5;
+        let mut v = vec![[d, a, b, c], [c, a, b, c], [b, a, b, c]];
+        if ws == w {
+            v.extend([[a, a, b, c], [d, a, a, c]]);
+        }
+        (v, d + n * w + 2)
+    }
+
+    fn mad_lane_matches_its_scalar_loop<T: Special>() {
+        for w in [2, 4, 8, 16] {
+            for ws in [2, 4, 8, 16] {
+                for n in REPS {
+                    let (layouts, len) = layouts(w, ws, n);
+                    for dabc in layouts {
+                        for lane in [0, ws - 1] {
+                            let mut want = bank::<T>(len);
+                            let mut got = want.clone();
+                            mad_lane_any(&mut want, dabc, ws, lane, w, n);
+                            mad_lane(&mut got, dabc, ws, lane, w, n);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "w {w}, ws {ws}, n {n}, lane {lane}, [d, a, b, c] {dabc:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mad_lane_widths_match_the_scalar_loop_bit_for_bit() {
+        mad_lane_matches_its_scalar_loop::<f32>();
+        mad_lane_matches_its_scalar_loop::<f64>();
+    }
+
+    #[test]
+    fn madbf_w2_matches_the_scalar_loop_bit_for_bit() {
+        for n in REPS {
+            let (layouts, len) = layouts(2, 2, n);
+            for dabc in layouts {
+                for lane in [0, 1] {
+                    let mut want = bank::<f32>(len);
+                    let mut got = want.clone();
+                    mad_lane_any(&mut want, dabc, 2, lane, 2, n);
+                    madbf_w2(&mut got, dabc, lane, n);
+                    assert_eq!(bits(&got), bits(&want), "n {n}, lane {lane}, {dabc:?}");
+                }
+            }
+        }
+    }
+
+    fn broadcasts_match_their_scalar_loops<T: Special>() {
+        for w in [1, 2, 3, 4, 8, 16] {
+            for n in REPS {
+                // A broadcast reads a scalar slot into a vector slot of
+                // another group, a splat a uniform slot into a varying
+                // one: never the same cells.
+                let (a, d) = (1, n + 3);
+                let len = d + n * w + 2;
+                let mut want = bank::<T>(len);
+                let mut got = want.clone();
+                bcast_any(&mut want, d, a, w, n);
+                bcast(&mut got, d, a, w, n);
+                assert_eq!(bits(&got), bits(&want), "bcast w {w}, n {n}");
+
+                let mut want = bank::<T>(len);
+                let mut got = want.clone();
+                for r in 0..n {
+                    for k in 0..w {
+                        want[d + r * w + k] = want[a + k];
+                    }
+                }
+                splat(&mut got, d, a, w, n);
+                assert_eq!(bits(&got), bits(&want), "splat w {w}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn broadcasts_and_splats_match_the_scalar_loops_bit_for_bit() {
+        broadcasts_match_their_scalar_loops::<f32>();
+        broadcasts_match_their_scalar_loops::<f64>();
     }
 }
 

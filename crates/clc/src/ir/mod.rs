@@ -17,9 +17,11 @@
 //!    identity-conversion strength reduction, block-local common
 //!    subexpression elimination, dead-code elimination, CFG
 //!    simplification, full unrolling of compile-time-constant
-//!    work-item loops, loop-invariant code motion out of the remaining
-//!    runtime-bounded loops, and fusion of `extract → broadcast → mad`
-//!    triples into single lane-indexed mad ops.
+//!    work-item loops, forwarding of pass-through block parameters to
+//!    the one value they carry, loop-invariant code motion out of the
+//!    remaining runtime-bounded loops, and fusion of
+//!    `extract → broadcast → mad` triples into single lane-indexed mad
+//!    ops.
 //! 3. [`trace`] — divergence analysis (values provably identical
 //!    across the work-items of a group run once per group; per-item
 //!    values run in a tight loop over all work-items inside one
@@ -307,6 +309,9 @@ pub struct CompileStats {
     pub blocks_merged: u64,
     pub unrolled_loops: u64,
     pub unrolled_iters: u64,
+    /// Block parameters replaced by the one value they carry, by
+    /// `forward`.
+    pub forwarded: u64,
     /// Loop-invariant ops moved to a preheader by `licm`.
     pub hoisted: u64,
     /// `extract → broadcast → mad` triples fused into `MadLane`.
@@ -363,10 +368,11 @@ pub fn compile_parts(k: &CompiledKernel) -> Result<(Func, trace::TracePlan), Str
 type Pass = fn(&mut Func, &mut CompileStats);
 
 /// The pass order, each under its own `clc.compile.<pass>` span.
-const PIPELINE: [(&str, Pass); 6] = [
+const PIPELINE: [(&str, Pass); 7] = [
     ("clc.compile.simplify", passes::simplify),
     ("clc.compile.clean", passes::clean),
     ("clc.compile.unroll", passes::unroll),
+    ("clc.compile.forward", passes::forward),
     ("clc.compile.licm", passes::licm),
     ("clc.compile.fuse", passes::fuse),
     ("clc.compile.clean", passes::clean),
@@ -392,6 +398,7 @@ fn record_compile_metrics(s: &CompileStats) {
         ("clc_compile_dce_total", s.dce),
         ("clc_compile_unrolled_loops_total", s.unrolled_loops),
         ("clc_compile_unrolled_iters_total", s.unrolled_iters),
+        ("clc_compile_forwarded_total", s.forwarded),
         ("clc_compile_hoisted_total", s.hoisted),
         ("clc_compile_fused_total", s.fused),
         ("clc_compile_spills_total", s.spills),

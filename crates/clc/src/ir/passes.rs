@@ -17,6 +17,13 @@
 //!    loop is followed by its own `simplify`+`clean`, which merges the
 //!    unrolled chain into straight-line code and CSEs cross-iteration
 //!    redundancy, so the pipeline needs no second pair after `unroll`.
+//! 4. `forward` — replaces each block parameter that carries one value
+//!    on every edge by that value, where masked execution allows it.
+//!    Runs after `unroll`, which expects every value leaving a loop to
+//!    pass through an exit parameter, and before `licm`, which can then
+//!    hoist what reads entry parameters or values from before the loop.
+//! 5. `licm`, then `fuse`, then a last `clean`, which also sweeps the
+//!    parameters and edge arguments `forward` left dead.
 //!
 //! Every pass preserves block [`Cost`]s: ops move or disappear, the
 //! frozen per-execution stats charge does not. Unrolling *copies*
@@ -29,8 +36,10 @@
 //! with a worklist over def sites (each value is expanded once, however
 //! long the chain); CSE keys ops on a hashable structural key, with
 //! constants compared as bit patterns, hashed with the shim's
-//! fixed-state multiply hasher; and `fold`, `cse` and `simplify`
-//! keep their substitutions in dense per-value `Alias` tables.
+//! fixed-state multiply hasher; `fold`, `cse`, `simplify` and
+//! `forward` keep their substitutions in dense per-value `Alias`
+//! tables; and the passes that read constants share one compact
+//! per-value table, [`Konst`].
 
 use super::{Block, CompileStats, Edge, Func, Op, OpKind, Term, Val};
 use crate::ast::{Base, BinOp};
@@ -94,17 +103,66 @@ impl Alias {
     }
 }
 
-/// Constant value of each val whose defining op is `Const`.
-fn konst_map(f: &Func) -> Vec<Option<Value>> {
-    let mut k = vec![None; f.n_vals()];
-    for b in &f.blocks {
-        for op in &b.ops {
-            if let (Some(d), OpKind::Const(v)) = (op.dst, &op.kind) {
-                k[d as usize] = Some(*v);
+/// The constant behind each value whose defining op is `Const`: one
+/// `u32` per value ever created, indexing a list of the function's
+/// constants. `Func::classes` never shrinks (every value `unroll`
+/// clones stays, live or dead), so a table of one 136-byte
+/// `Option<Value>` per value cost more to allocate and clear than the
+/// walk that fills it.
+pub(crate) struct Konst {
+    at: Vec<u32>,
+    vals: Vec<Value>,
+}
+
+impl Konst {
+    const NONE: u32 = u32::MAX;
+
+    pub(crate) fn of(f: &Func) -> Konst {
+        let mut k = Konst {
+            at: vec![Konst::NONE; f.n_vals()],
+            vals: Vec::new(),
+        };
+        for b in &f.blocks {
+            for op in &b.ops {
+                if let (Some(d), OpKind::Const(v)) = (op.dst, &op.kind) {
+                    k.set(d, *v);
+                }
             }
         }
+        k
     }
-    k
+
+    /// Record that `v` now holds the constant `c`.
+    fn set(&mut self, v: Val, c: Value) {
+        self.at[v as usize] = self.vals.len() as u32;
+        self.vals.push(c);
+    }
+
+    /// The constant `v` holds, if any; `None` for values created after
+    /// the table was built.
+    pub(crate) fn get(&self, v: Val) -> Option<Value> {
+        match self.at.get(v as usize).copied() {
+            None | Some(Konst::NONE) => None,
+            Some(i) => Some(self.vals[i as usize]),
+        }
+    }
+
+    /// The integer constant `v` holds, if any.
+    pub(crate) fn int(&self, v: Val) -> Option<i64> {
+        match self.get(v) {
+            Some(Value::I(x)) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// Every constant value with its constant, in ascending value order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Val, &Value)> {
+        self.at
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| i != Konst::NONE)
+            .map(|(v, &i)| (v as Val, &self.vals[i as usize]))
+    }
 }
 
 fn as_b(v: Value) -> Option<bool> {
@@ -288,7 +346,7 @@ pub fn clean(f: &mut Func, st: &mut CompileStats) {
 /// algebraic identities.
 fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
     let mut changed = false;
-    let mut konst = konst_map(f);
+    let mut konst = Konst::of(f);
     let mut alias = Alias::new(f);
     for bi in 0..f.blocks.len() {
         let mut ops = std::mem::take(&mut f.blocks[bi].ops);
@@ -306,10 +364,10 @@ fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
                 changed = true;
                 return false;
             }
-            let get = |v: Val| konst[v as usize];
+            let get = |v: Val| konst.get(v);
             if let Some(v) = eval_kind(&op.kind, &get) {
                 op.kind = OpKind::Const(v);
-                konst[d as usize] = Some(v);
+                konst.set(d, v);
                 st.folded += 1;
                 changed = true;
             }
@@ -324,8 +382,7 @@ fn fold(f: &mut Func, st: &mut CompileStats) -> bool {
 /// `Some(source)` when the op is value-identical to one of its
 /// operands (or a constant-condition Select), under the compiled
 /// engine's bool-as-int encoding.
-fn alias_of(kind: &OpKind, classes: &[RegClass], konst: &[Option<Value>]) -> Option<Val> {
-    let kv = |v: Val| konst[v as usize];
+fn alias_of(kind: &OpKind, classes: &[RegClass], konst: &Konst) -> Option<Val> {
     match kind {
         // Identity conversions: same storage class, same base.
         OpKind::Convert(a, base) => match (classes[*a as usize], base) {
@@ -336,14 +393,11 @@ fn alias_of(kind: &OpKind, classes: &[RegClass], konst: &[Option<Value>]) -> Opt
             | (RegClass::Int, Base::Int | Base::Uint) => Some(*a),
             _ => None,
         },
-        OpKind::Select(c, a, b) => as_b(kv(*c)?).map(|t| if t { *a } else { *b }),
+        OpKind::Select(c, a, b) => as_b(konst.get(*c)?).map(|t| if t { *a } else { *b }),
         // Integer-only algebraic identities; wrapping arithmetic makes
         // these exact. Floats are deliberately excluded.
         OpKind::Bin(op, a, b) if classes[*a as usize] == RegClass::Int => {
-            let ci = |v: Val| match kv(v) {
-                Some(Value::I(x)) => Some(x),
-                _ => None,
-            };
+            let ci = |v: Val| konst.int(v);
             match op {
                 BinOp::Add => match (ci(*a), ci(*b)) {
                     (Some(0), _) => Some(*b),
@@ -475,20 +529,16 @@ fn cse(f: &mut Func, st: &mut CompileStats) -> bool {
 /// every value is marked and expanded once, so the cost is linear in
 /// the function however long its use chains.
 fn dce(f: &mut Func, st: &mut CompileStats) -> bool {
-    let konst = konst_map(f);
+    let konst = Konst::of(f);
     let n = f.n_vals();
     let is_root = |kind: &OpKind| -> bool {
         if kind.is_mem() {
             return true;
         }
         match kind {
-            OpKind::Bin(BinOp::Div | BinOp::Rem, _, b) => {
-                !matches!(konst[*b as usize], Some(Value::I(x)) if x != 0)
-            }
+            OpKind::Bin(BinOp::Div | BinOp::Rem, _, b) => konst.int(*b).is_none_or(|x| x == 0),
             // A non-constant or out-of-range dimension traps.
-            OpKind::Wi(_, dim) => {
-                !matches!(konst[*dim as usize], Some(Value::I(d)) if (0..=2).contains(&d))
-            }
+            OpKind::Wi(_, dim) => konst.int(*dim).is_none_or(|d| !(0..=2).contains(&d)),
             _ => false,
         }
     };
@@ -580,7 +630,7 @@ pub fn unroll(f: &mut Func, st: &mut CompileStats) {
 #[allow(clippy::too_many_lines)]
 fn unroll_one(f: &mut Func, st: &mut CompileStats) -> Option<bool> {
     let preds = f.preds();
-    let konst = konst_map(f);
+    let konst = Konst::of(f);
     for h in 1..f.blocks.len() {
         let Term::CondBr { cond, t, f: fe } = f.blocks[h].term.clone() else {
             continue;
@@ -634,7 +684,7 @@ fn unroll_one(f: &mut Func, st: &mut CompileStats) -> Option<bool> {
         // Symbolic trip count.
         let mut param_vals: HashMap<Val, Value> = HashMap::new();
         for (param, arg) in f.blocks[h].params.iter().zip(&init_args) {
-            if let Some(v) = konst[*arg as usize] {
+            if let Some(v) = konst.get(*arg) {
                 param_vals.insert(*param, v);
             }
         }
@@ -642,7 +692,7 @@ fn unroll_one(f: &mut Func, st: &mut CompileStats) -> Option<bool> {
         let trips = loop {
             let mut cur = param_vals.clone();
             let get_in =
-                |cur: &HashMap<Val, Value>, v: Val| cur.get(&v).copied().or(konst[v as usize]);
+                |cur: &HashMap<Val, Value>, v: Val| cur.get(&v).copied().or_else(|| konst.get(v));
             for op in &f.blocks[h].ops {
                 if let Some(d) = op.dst {
                     let get = |v: Val| get_in(&cur, v);
@@ -783,6 +833,55 @@ fn clone_block(f: &mut Func, src: usize, incoming: &[Val]) -> (usize, HashMap<Va
     (f.blocks.len() - 1, m)
 }
 
+// ---- forward: pass-through block parameters ---------------------------------
+
+/// Replace every block parameter that carries one value on every
+/// incoming edge by that value, its root (`trace::forwarded_roots`).
+/// `build` threads every live register through every block as a
+/// parameter, so without this a loop reads entry parameters and values
+/// computed before it through its own parameters: `licm` cannot hoist
+/// what uses them, and the trace splats each uniform one again in every
+/// block that reads it.
+///
+/// Masked execution bounds the rule. Under a divergent branch, ops run
+/// on every work-item, waiting ones included, so an op inside a
+/// divergent region may overwrite the cell a waiting work-item's
+/// parameter copied from it on its way out: a value computed in a loop
+/// with a varying exit and read after the loop is the case. A parameter
+/// is forwarded only when its root is a constant (a seed), a block
+/// parameter (written only by masked copies), or an op outside every
+/// divergent region (run by every live work-item at once). The dead
+/// parameters and edge arguments are left to the next `clean`.
+///
+/// Runs after `unroll`, which expects every value that leaves a loop to
+/// pass through a parameter of the block the loop exits to.
+pub fn forward(f: &mut Func, st: &mut CompileStats) {
+    // A kernel the divergence analysis rejects is declined at emission.
+    let Ok(dv) = super::trace::divergence(f) else {
+        return;
+    };
+    let konst = Konst::of(f);
+    let mut def_block = vec![usize::MAX; f.n_vals()];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for d in b.ops.iter().filter_map(|op| op.dst) {
+            def_block[d as usize] = bi;
+        }
+    }
+    let mut alias = Alias::new(f);
+    for b in &f.blocks {
+        for &q in &b.params {
+            let r = dv.root[q as usize];
+            let d = def_block[r as usize];
+            let safe = konst.get(r).is_some() || d == usize::MAX || !dv.in_region[d];
+            if r != q && f.classes[q as usize] == f.classes[r as usize] && safe {
+                alias.set(q, r);
+                st.forwarded += 1;
+            }
+        }
+    }
+    alias.apply(f);
+}
+
 // ---- licm -----------------------------------------------------------------
 
 /// Loop-invariant code motion. Runs after `unroll`, so the only loops
@@ -796,7 +895,7 @@ fn clone_block(f: &mut Func, src: usize, incoming: &[Val]) -> (usize, HashMap<Va
 /// Costs are frozen per block, so moving ops changes neither stats nor
 /// step-limit outcomes.
 pub fn licm(f: &mut Func, st: &mut CompileStats) {
-    let konst = konst_map(f);
+    let konst = Konst::of(f);
     let nb = f.blocks.len();
     let preds = f.preds();
     // Iterative dominator sets over the (small) CFG.
@@ -863,12 +962,8 @@ pub fn licm(f: &mut Func, st: &mut CompileStats) {
             return false;
         }
         match kind {
-            OpKind::Bin(BinOp::Div | BinOp::Rem, _, b) => {
-                matches!(konst[*b as usize], Some(Value::I(x)) if x != 0)
-            }
-            OpKind::Wi(_, dim) => {
-                matches!(konst[*dim as usize], Some(Value::I(d)) if (0..=2).contains(&d))
-            }
+            OpKind::Bin(BinOp::Div | BinOp::Rem, _, b) => konst.int(*b).is_some_and(|x| x != 0),
+            OpKind::Wi(_, dim) => konst.int(*dim).is_some_and(|d| (0..=2).contains(&d)),
             _ => true,
         }
     };
@@ -1194,6 +1289,74 @@ mod tests {
         // The pruned argument's definition dies on the next run.
         assert!(dce(&mut fb.0, &mut st));
         assert_eq!(kinds(&fb.0, 0), [OpKind::Const(Value::I(1))]);
+    }
+
+    #[test]
+    fn forward_replaces_pass_through_parameters_but_not_a_divergent_loops_exit_value() {
+        // b0(x) → b1, a loop with a per-work-item exit (`i < gid`), →
+        // b2. The loop passes `x`, a constant and an op before the loop
+        // through unchanged, and hands `inner`, computed inside the loop,
+        // to b2 on its exit edge. Work-items that leave early wait in b2
+        // while later iterations recompute `inner` on every work-item, so
+        // b2 must keep reading its own parameter.
+        let int = RegClass::Int;
+        let mut fb = Fb::new(3);
+        let x = fb.param(0, int);
+        let zero = fb.op(0, int, OpKind::Const(Value::I(0)));
+        let one = fb.op(0, int, OpKind::Const(Value::I(1)));
+        let five = fb.op(0, int, OpKind::Const(Value::I(5)));
+        let gid = fb.op(0, int, OpKind::Wi(WiFunc::GlobalId, zero));
+        let pre = fb.op(0, int, OpKind::Bin(BinOp::Add, x, five));
+        let [i, lx, lc, lpre] = [0; 4].map(|_| fb.param(1, int));
+        let inner = fb.op(1, int, OpKind::Bin(BinOp::Mul, i, lpre));
+        let lt = fb.op(1, int, OpKind::Bin(BinOp::Lt, i, gid));
+        let next = fb.op(1, int, OpKind::Bin(BinOp::Add, i, one));
+        let [q_inner, q_x, q_c, q_pre] = [0; 4].map(|_| fb.param(2, int));
+        let sum = fb.op(2, int, OpKind::Bin(BinOp::Add, q_x, q_c));
+        let src = fb.op(2, int, OpKind::Bin(BinOp::Add, sum, q_pre));
+        fb.store(2, q_inner, src);
+        fb.0.blocks[0].term = Term::Br(Edge {
+            to: 1,
+            args: vec![zero, x, five, pre],
+        });
+        fb.0.blocks[1].term = Term::CondBr {
+            cond: lt,
+            t: Edge {
+                to: 1,
+                args: vec![next, lx, lc, lpre],
+            },
+            f: Edge {
+                to: 2,
+                args: vec![inner, lx, lc, lpre],
+            },
+        };
+        let mut st = CompileStats::default();
+        forward(&mut fb.0, &mut st);
+        assert_eq!(st.forwarded, 6, "lx, lc, lpre, q_x, q_c and q_pre");
+        assert_eq!(
+            kinds(&fb.0, 1)[0],
+            OpKind::Bin(BinOp::Mul, i, pre),
+            "the loop reads the op before it"
+        );
+        assert_eq!(
+            kinds(&fb.0, 2),
+            [
+                OpKind::Bin(BinOp::Add, x, five),
+                OpKind::Bin(BinOp::Add, sum, pre),
+                OpKind::StoreGlobal {
+                    buf: 0,
+                    idx: q_inner,
+                    src,
+                    width: 1
+                },
+            ],
+            "entry parameter, constant and op before the loop forwarded; the loop's value kept"
+        );
+        let Term::CondBr { t, f, .. } = &fb.0.blocks[1].term else {
+            unreachable!("unchanged terminator");
+        };
+        assert_eq!(t.args, [next, x, five, pre]);
+        assert_eq!(f.args, [inner, x, five, pre]);
     }
 
     #[test]

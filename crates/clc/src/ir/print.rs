@@ -90,7 +90,7 @@ pub fn print_plan(plan: &TracePlan) -> String {
     let _ = writeln!(
         s,
         "; ops {} -> {} (folded {}, cse {}, dce {}, merged {}, \
-         unrolled {} loops / {} iters, spills {})",
+         unrolled {} loops / {} iters, forwarded {}, spills {})",
         st.ops_in,
         st.ops_out,
         st.folded,
@@ -99,6 +99,7 @@ pub fn print_plan(plan: &TracePlan) -> String {
         st.blocks_merged,
         st.unrolled_loops,
         st.unrolled_iters,
+        st.forwarded,
         st.spills
     );
     for (gi, g) in plan.groups.iter().enumerate() {

@@ -31,6 +31,7 @@
 //! either side of a divergent branch is never overwritten by the other
 //! side, whose ops run on all work-items.
 
+use super::passes::Konst;
 use super::{CompileStats, Cost, Edge, Func, Op, OpKind, Term, Val};
 use crate::ast::{Base, BinOp, UnOp};
 use crate::lower::{CompiledKernel, MathFunc, Reg, RegClass, WiFunc};
@@ -688,7 +689,7 @@ struct Emitter<'a> {
     uni: Vec<bool>,
     splat: BTreeMap<Val, Val>,
     splat_site: HashMap<Val, SplatSite>,
-    konst: Vec<Option<Value>>,
+    konst: Konst,
     groups: Vec<GroupInfo>,
     group_idx: HashMap<(Bank, u8, bool), u16>,
     slot_of: Vec<Option<Slot>>,
@@ -696,8 +697,6 @@ struct Emitter<'a> {
     temps: Vec<u32>,
     /// Reconvergence point of each block's divergent branch.
     joins: Vec<Option<usize>>,
-    /// Parameters that live in their forwarded root's slot.
-    share: Vec<Option<Val>>,
 }
 
 /// Emit a trace plan, or return the reason the kernel is declined.
@@ -708,10 +707,8 @@ pub(crate) fn emit(
     races: RaceFacts,
     mut stats: CompileStats,
 ) -> Result<TracePlan, String> {
-    let konst = konst_of(f);
-    let dv = divergence(f)?;
-    let share = shared_slots(f, &dv, &konst);
-    let (uni, joins) = (dv.uni, dv.joins);
+    let konst = Konst::of(f);
+    let Divergence { uni, joins, .. } = divergence(f)?;
     let mut em = Emitter {
         k,
         f,
@@ -725,7 +722,6 @@ pub(crate) fn emit(
         slot_of: Vec::new(),
         temps: Vec::new(),
         joins,
-        share,
     };
     let scheds = em.plan_splats();
     em.allocate(&scheds, &mut stats);
@@ -773,18 +769,6 @@ pub(crate) fn emit(
     })
 }
 
-fn konst_of(f: &Func) -> Vec<Option<Value>> {
-    let mut k = vec![None; f.n_vals()];
-    for b in &f.blocks {
-        for op in &b.ops {
-            if let (Some(d), OpKind::Const(v)) = (op.dst, &op.kind) {
-                k[d as usize] = Some(*v);
-            }
-        }
-    }
-    k
-}
-
 /// Per-value uniformity, and the reconvergence point of every block
 /// that ends in a work-item-divergent branch.
 ///
@@ -803,7 +787,7 @@ fn konst_of(f: &Func) -> Vec<Option<Value>> {
 ///
 /// A barrier inside a divergent region — including any barrier after a
 /// divergent `return` — would run under a partial mask: declined.
-fn divergence(f: &Func) -> Result<Divergence, String> {
+pub(crate) fn divergence(f: &Func) -> Result<Divergence, String> {
     let root = forwarded_roots(f);
     let ipdom = post_dominators(f);
     let mut uni = vec![true; f.n_vals()];
@@ -822,7 +806,11 @@ fn divergence(f: &Func) -> Result<Divergence, String> {
                     OpKind::LoadGlobal { .. } | OpKind::LoadLocal { .. } => true,
                     OpKind::Wi(WiFunc::GlobalId | WiFunc::LocalId, _) => true,
                     OpKind::Wi(_, _) => false,
-                    kind => kind.operands().iter().any(|&o| !uni[o as usize]),
+                    kind => {
+                        let mut any = false;
+                        kind.for_each_operand(|o| any |= !uni[o as usize]);
+                        any
+                    }
                 };
                 if varying {
                     demote(&mut uni, d, &mut changed);
@@ -872,53 +860,21 @@ fn divergence(f: &Func) -> Result<Divergence, String> {
 }
 
 /// What [`divergence`] proves about a function.
-struct Divergence {
-    uni: Vec<bool>,
+pub(crate) struct Divergence {
+    pub uni: Vec<bool>,
     /// Per block: the reconvergence point of its divergent branch.
-    joins: Vec<Option<usize>>,
+    pub joins: Vec<Option<usize>>,
     /// Per value: the value it forwards (see [`forwarded_roots`]).
-    root: Vec<Val>,
+    pub root: Vec<Val>,
     /// Per block: whether it lies between a divergent branch and its
     /// join.
-    in_region: Vec<bool>,
-}
-
-/// In a kernel with divergent branches, a parameter that only forwards
-/// its root shares the root's slot, so masked edges need no copy for
-/// it (uniform kernels keep one slot per parameter). That is safe under
-/// masks only while nothing writes the root's slot as an op running on
-/// all work-items during a divergent region: the root must be a
-/// parameter (written by masked copies), a constant (a seed), or an op
-/// outside every divergent region (run by all live work-items at once).
-fn shared_slots(f: &Func, dv: &Divergence, konst: &[Option<Value>]) -> Vec<Option<Val>> {
-    let mut share = vec![None; f.n_vals()];
-    if !dv.joins.iter().any(Option::is_some) {
-        return share;
-    }
-    let mut def_block = vec![None; f.n_vals()];
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for op in &b.ops {
-            if let Some(d) = op.dst {
-                def_block[d as usize] = Some(bi);
-            }
-        }
-    }
-    for b in &f.blocks {
-        for &q in &b.params {
-            let r = dv.root[q as usize];
-            let (qi, ri) = (q as usize, r as usize);
-            let writable = konst[ri].is_some() || def_block[ri].is_none_or(|d| !dv.in_region[d]);
-            if r != q && dv.uni[qi] == dv.uni[ri] && f.classes[qi] == f.classes[ri] && writable {
-                share[qi] = Some(r);
-            }
-        }
-    }
-    share
+    pub in_region: Vec<bool>,
 }
 
 /// The value each value forwards: a block parameter whose incoming
 /// arguments all resolve to one value `r` (or to itself, around a loop)
-/// carries `r` on every path.
+/// carries `r` on every path. The entry block's parameters forward
+/// nothing: the launch's registers reach them on no edge.
 fn forwarded_roots(f: &Func) -> Vec<Val> {
     let find = |root: &[Val], mut v: Val| {
         while root[v as usize] != v {
@@ -936,7 +892,7 @@ fn forwarded_roots(f: &Func) -> Vec<Val> {
     let mut changed = true;
     while changed {
         changed = false;
-        for (bi, b) in f.blocks.iter().enumerate() {
+        for (bi, b) in f.blocks.iter().enumerate().skip(1) {
             for (i, &q) in b.params.iter().enumerate() {
                 let mut args = incoming[bi].iter().map(|e| find(&root, e.args[i]));
                 let mut only = None;
@@ -1310,10 +1266,8 @@ impl Emitter<'_> {
             }
         }
         let mut seed_written = vec![false; n];
-        for (v, k) in self.konst.iter().enumerate() {
-            if k.is_some() {
-                seed_written[v] = true;
-            }
+        for (v, _) in self.konst.iter() {
+            seed_written[v as usize] = true;
         }
         for (&src, &site) in &self.splat_site {
             if site == SplatSite::Seed {
@@ -1323,22 +1277,14 @@ impl Emitter<'_> {
         for &p in &f.blocks[0].params {
             seed_written[p as usize] = true;
         }
-        // A root whose slot parameters share is pinned, even when only
-        // the sharers are touched.
-        let mut shared_root = vec![false; n];
-        for r in self.share.iter().flatten() {
-            shared_root[*r as usize] = true;
-        }
         // Pinned pass (ascending val id = deterministic layout).
         let mut transient: Vec<Val> = Vec::new();
         for v in 0..n as Val {
             let vu = v as usize;
-            if self.share.get(vu).is_some_and(Option::is_some)
-                || (first[vu] == u32::MAX && !shared_root[vu])
-            {
-                continue; // a sharer, or never touched
+            if first[vu] == u32::MAX {
+                continue; // never touched
             }
-            let pinned = is_param[vu] || seed_written[vu] || multi[vu] || shared_root[vu];
+            let pinned = is_param[vu] || seed_written[vu] || multi[vu];
             if pinned {
                 let g = self.group_of_val(v);
                 let s = self.groups[g as usize].n_slots;
@@ -1346,11 +1292,6 @@ impl Emitter<'_> {
                 self.slot_of[v as usize] = Some(Slot { group: g, slot: s });
             } else {
                 transient.push(v);
-            }
-        }
-        for (v, r) in self.share.iter().enumerate() {
-            if let Some(r) = r {
-                self.slot_of[v] = self.slot_of[*r as usize];
             }
         }
         // Linear scan over transients.
@@ -1394,13 +1335,12 @@ impl Emitter<'_> {
     fn collect_seeds(&self) -> (Vec<(Slot, Value)>, Vec<SlotReg>) {
         let mut consts = Vec::new();
         let mut entries = Vec::new();
-        for (v, k) in self.konst.iter().enumerate() {
-            let Some(val) = k else { continue };
-            if let Some(s) = self.slot_of[v] {
+        for (v, val) in self.konst.iter() {
+            if let Some(s) = self.slot_of[v as usize] {
                 consts.push((s, *val));
             }
-            if let Some(&sv) = self.splat.get(&(v as Val)) {
-                if self.splat_site.get(&(v as Val)) == Some(&SplatSite::Seed) {
+            if let Some(&sv) = self.splat.get(&v) {
+                if self.splat_site.get(&v) == Some(&SplatSite::Seed) {
                     if let Some(s) = self.slot_of[sv as usize] {
                         consts.push((s, *val));
                     }
@@ -1492,7 +1432,7 @@ impl Emitter<'_> {
                 // branchless shift — no per-element zero check and no
                 // hardware divide in the trace.
                 if matches!(p.k, DivI | RemI) {
-                    if let Some(Value::I(c)) = self.konst.get(*b0 as usize).copied().flatten() {
+                    if let Some(c) = self.konst.int(*b0) {
                         if c > 0 && c & (c - 1) == 0 {
                             p.k = if p.k == DivI { DivIP2 } else { RemIP2 };
                             p.aux = c.trailing_zeros() as u8;
@@ -1506,10 +1446,8 @@ impl Emitter<'_> {
                 // for every i64, and unlike 64-bit multiplies the
                 // shift vectorises.
                 if p.k == MulI {
-                    let pow2 = |v: Val| match self.konst.get(v as usize).copied().flatten() {
-                        Some(Value::I(c)) if c > 0 && c & (c - 1) == 0 => {
-                            Some(c.trailing_zeros() as u8)
-                        }
+                    let pow2 = |v: Val| match self.konst.int(v) {
+                        Some(c) if c > 0 && c & (c - 1) == 0 => Some(c.trailing_zeros() as u8),
                         _ => None,
                     };
                     if let Some(sh) = pow2(*b0) {
@@ -1669,7 +1607,7 @@ impl Emitter<'_> {
                 }
             }
             OpKind::Wi(wf, dim) => {
-                let d = match self.konst.get(*dim as usize).copied().flatten() {
+                let d = match self.konst.get(*dim) {
                     Some(Value::I(d)) if (0..=1).contains(&d) => d as u8,
                     other => return Err(format!("work-item dim not 0/1: {other:?}")),
                 };

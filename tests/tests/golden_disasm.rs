@@ -136,3 +136,80 @@ fn corpus_disassembly_matches_digest_file() {
         moved.join(", ")
     );
 }
+
+/// The plan part of a `disassemble_ir` text: the `bN:` blocks, each with
+/// its op and terminator lines.
+fn plan_blocks(text: &str) -> Vec<Vec<&str>> {
+    let plan = text.split_once("\ntrace ").expect("a trace plan").1;
+    let mut blocks: Vec<Vec<&str>> = Vec::new();
+    for line in plan.lines() {
+        if line.starts_with('b') && line.contains(':') {
+            blocks.push(Vec::new());
+        } else if let Some(b) = blocks.last_mut() {
+            b.push(line.trim());
+        }
+    }
+    blocks
+}
+
+/// `(header, latch)` of every loop in a plan: a branch from block
+/// `latch` back to block `header <= latch`.
+fn plan_loops(blocks: &[Vec<&str>]) -> Vec<(usize, usize)> {
+    let mut loops = Vec::new();
+    for (bi, b) in blocks.iter().enumerate() {
+        let term = b.last().expect("a terminator");
+        let targets = term
+            .split_whitespace()
+            .filter_map(|w| w.strip_prefix('b')?.parse::<usize>().ok());
+        loops.extend(targets.filter(|&t| t <= bi).map(|t| (t, bi)));
+    }
+    loops
+}
+
+#[test]
+fn direct_kernel_k_loops_compare_and_splat_no_loop_invariants() {
+    // Forwarding pass-through parameters lets `licm` lift the row and
+    // column guards' compares out of the `K` loops, and makes `M`, `N`
+    // and the leading dimensions read the entry parameters' seeded
+    // splats instead of splatting a loop parameter in every block.
+    for ty in GemmType::ALL {
+        for precision in [Precision::F32, Precision::F64] {
+            let p = DirectParams::default_for(ty, precision);
+            let gen = generate_direct(&p).expect("default direct parameters generate");
+            let text = disasm(&gen.source, DIRECT_KERNEL_NAME);
+            let varying: Vec<String> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix("group "))
+                .filter(|l| l.contains(" varying"))
+                .map(|l| l.split(':').next().unwrap_or_default().to_string())
+                .collect();
+            let entry_slots: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix("seed ")?.split_once(" = r"))
+                .map(|(slot, _)| slot)
+                .collect();
+            let blocks = plan_blocks(&text);
+            let loops = plan_loops(&blocks);
+            assert!(!loops.is_empty(), "direct {ty} {precision:?}: no K loop");
+            for (header, latch) in loops {
+                for line in blocks[header..=latch].iter().flatten() {
+                    let Some((dst, rhs)) = line.split_once(" = ") else {
+                        continue;
+                    };
+                    let dst_group = dst.trim_start_matches("[t] ").trim_start_matches("[f] ");
+                    let dst_group = dst_group.split('s').next().unwrap_or_default();
+                    assert!(
+                        !(rhs.starts_with("cmpi ") && varying.iter().any(|g| g == dst_group)),
+                        "direct {ty} {precision:?}: a per-work-item compare in the K loop b{header}..=b{latch}: {line}"
+                    );
+                    if let Some(src) = rhs.strip_prefix("splati ") {
+                        assert!(
+                            !entry_slots.contains(&src),
+                            "direct {ty} {precision:?}: an entry parameter splatted in the K loop b{header}..=b{latch}: {line}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
